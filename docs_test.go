@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -106,6 +107,36 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 	for dir, pkg := range packages {
 		if !documented[dir] {
 			t.Errorf("package %s (%s) has no package doc comment", pkg, dir)
+		}
+	}
+}
+
+// TestCitedArtifactsExist fails when README.md, DESIGN.md, EXPERIMENTS.md
+// or a script under scripts/ names a committed benchmark artifact — a
+// BENCH_, SERVE_ or ROBUST_ file tagged with seed or a PR number — that
+// is not in the tree, so no number in the docs points at a missing
+// file. CHANGES.md and ROADMAP.md are history and are not scanned.
+func TestCitedArtifactsExist(t *testing.T) {
+	artifact := regexp.MustCompile(`(BENCH|SERVE|ROBUST)_(seed|pr[0-9]+)[a-z0-9_]*\.json`)
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	scripts, err := os.ReadDir("scripts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range scripts {
+		if !e.IsDir() {
+			files = append(files, filepath.Join("scripts", e.Name()))
+		}
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range artifact.FindAllString(string(data), -1) {
+			if _, err := os.Stat(name); err != nil {
+				t.Errorf("%s cites %s, which is not in the tree", f, name)
+			}
 		}
 	}
 }

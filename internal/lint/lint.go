@@ -273,7 +273,7 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name:  "hotdist",
-			Doc:   "no metric.Space.Dist interface calls inside loops in hot packages",
+			Doc:   "no metric.Space.Dist calls through the interface or a type parameter inside loops in hot packages",
 			Scope: hot,
 			run:   runHotDist,
 		},

@@ -62,3 +62,29 @@ func RingScan(sp metric.Space, rings [][]int) float64 {
 	}
 	return best
 }
+
+// GenericTotal pays the same dispatch through a type parameter: the
+// call goes through the instantiation's dictionary, so even S = Dense
+// does not inline Dense.Dist.
+func GenericTotal[S metric.Space](sp S) float64 {
+	var sum float64
+	for i := 1; i < sp.Len(); i++ {
+		sum += sp.Dist(i-1, i) // want:hotdist
+	}
+	return sum
+}
+
+// rowSpace embeds metric.Space in a wider constraint.
+type rowSpace interface {
+	metric.Space
+	Row(i int) []float64
+}
+
+// EmbeddedConstraint is flagged too: its constraint embeds metric.Space.
+func EmbeddedConstraint[S rowSpace](sp S) float64 {
+	var sum float64
+	for i := 1; i < sp.Len(); i++ {
+		sum += sp.Dist(i-1, i) // want:hotdist
+	}
+	return sum
+}

@@ -18,104 +18,27 @@ import (
 //
 // The returned solution covers exactly the same sensors, rooted at the
 // same depots. maxMoves bounds the number of relocations (0 means a
-// default of 4x the sensor count).
+// default of 4x the sensor count). The search runs over a Dense matrix:
+// a Dense sp is used as is, any other space is materialized once. It
+// builds candidate lists when tsp.AutoLists finds the solution large
+// enough to amortize them.
 func BalanceTours(sp metric.Space, sol Solution, maxMoves int) Solution {
-	// One type switch up front; the relocation search below then runs
-	// with inlined distance lookups when sp is Dense, and with candidate
-	// lists shortlisting insertion points when the instance is large
-	// enough to amortize building them.
-	if d, ok := metric.AsDense(sp); ok {
-		if nl := autoBalanceLists(d, sol); nl != nil {
-			return BalanceToursLists(d, nl, sol, maxMoves, nil)
-		}
-		return balanceTours(d, sol, maxMoves)
-	}
-	return balanceTours(sp, sol, maxMoves)
-}
-
-// autoBalanceLists mirrors the tsp package's auto-build policy: lists
-// pay off once the solution is big and the space is not much larger
-// than what the tours actually visit.
-func autoBalanceLists(d metric.Dense, sol Solution) *metric.NearestLists {
+	d := metric.Materialize(sp)
 	n := len(sol.Tours)
 	for _, t := range sol.Tours {
 		n += len(t.Stops)
 	}
-	if n < 64 || d.Len() > 4*n {
-		return nil
-	}
-	return d.NearestLists(metric.DefaultNearest)
+	return balanceTours(d, tsp.AutoLists(d, n), sol, maxMoves, nil)
 }
 
-// BalanceToursLists is BalanceTours over a Dense space with shared
-// candidate lists and an optional scratch arena; the relocation
-// sequence and final solution are bit-identical to BalanceTours. nl
-// must have been built from d; nil nl or nil sc degrade gracefully.
-func BalanceToursLists(d metric.Dense, nl *metric.NearestLists, sol Solution, maxMoves int, sc *tsp.Scratch) Solution {
-	if nl == nil {
-		return balanceTours(d, sol, maxMoves)
-	}
+// balanceTours is the relocation search over a Dense space. Non-nil
+// candidate lists (built from d) shortlist the 2-opt re-routing and the
+// insertion points; nil lists examine every position, with the same
+// relocations either way. A nil sc allocates privately.
+func balanceTours(d metric.Dense, nl *metric.NearestLists, sol Solution, maxMoves int, sc *tsp.Scratch) Solution {
 	if sc == nil {
 		sc = tsp.NewScratch()
 	}
-	out := Solution{ForestWeight: sol.ForestWeight}
-	out.Tours = make([]Tour, len(sol.Tours))
-	for i, t := range sol.Tours {
-		out.Tours[i] = Tour{Depot: t.Depot, Stops: append([]int(nil), t.Stops...), Cost: t.Cost}
-	}
-	nStops := 0
-	for _, t := range out.Tours {
-		nStops += len(t.Stops)
-	}
-	if maxMoves <= 0 {
-		maxMoves = 4 * nStops
-	}
-	if len(out.Tours) < 2 {
-		return out
-	}
-	for move := 0; move < maxMoves; move++ {
-		donor := 0
-		for i, t := range out.Tours {
-			if t.Cost > out.Tours[donor].Cost {
-				donor = i
-			}
-		}
-		if len(out.Tours[donor].Stops) == 0 {
-			break
-		}
-		maxLen := out.Tours[donor].Cost
-		bestStop, bestRecv, bestNewMax := -1, -1, maxLen
-		var bestDonor, bestRecvTour Tour
-		for si, s := range out.Tours[donor].Stops {
-			donorWithout := removeStopLists(d, nl, out.Tours[donor], si, sc)
-			for ri := range out.Tours {
-				if ri == donor {
-					continue
-				}
-				recvWith := insertCheapestLists(d, nl, out.Tours[ri], s, sc)
-				newMax := math.Max(donorWithout.Cost, recvWith.Cost)
-				for oi, o := range out.Tours {
-					if oi != donor && oi != ri {
-						newMax = math.Max(newMax, o.Cost)
-					}
-				}
-				if newMax < bestNewMax-1e-9 {
-					bestNewMax = newMax
-					bestStop, bestRecv = si, ri
-					bestDonor, bestRecvTour = donorWithout, recvWith
-				}
-			}
-		}
-		if bestStop < 0 {
-			break // no improving relocation
-		}
-		out.Tours[donor] = bestDonor
-		out.Tours[bestRecv] = bestRecvTour
-	}
-	return out
-}
-
-func balanceTours[S metric.Space](sp S, sol Solution, maxMoves int) Solution {
 	out := Solution{ForestWeight: sol.ForestWeight}
 	out.Tours = make([]Tour, len(sol.Tours))
 	for i, t := range sol.Tours {
@@ -146,12 +69,12 @@ func balanceTours[S metric.Space](sp S, sol Solution, maxMoves int) Solution {
 		bestStop, bestRecv, bestNewMax := -1, -1, maxLen
 		var bestDonor, bestRecvTour Tour
 		for si, s := range out.Tours[donor].Stops {
-			donorWithout := removeStop(sp, out.Tours[donor], si)
+			donorWithout := removeStop(d, nl, out.Tours[donor], si, sc)
 			for ri := range out.Tours {
 				if ri == donor {
 					continue
 				}
-				recvWith := insertCheapest(sp, out.Tours[ri], s)
+				recvWith := insertCheapest(d, nl, out.Tours[ri], s, sc)
 				newMax := math.Max(donorWithout.Cost, recvWith.Cost)
 				for oi, o := range out.Tours {
 					if oi != donor && oi != ri {
@@ -175,24 +98,8 @@ func balanceTours[S metric.Space](sp S, sol Solution, maxMoves int) Solution {
 }
 
 // removeStop returns tour t without its si-th stop, lightly re-optimized
-// with 2-opt.
-func removeStop[S metric.Space](sp S, t Tour, si int) Tour {
-	stops := make([]int, 0, len(t.Stops)-1)
-	stops = append(stops, t.Stops[:si]...)
-	stops = append(stops, t.Stops[si+1:]...)
-	nt := Tour{Depot: t.Depot, Stops: stops}
-	if len(stops) > 2 {
-		v := nt.Vertices()
-		v, _ = tsp.TwoOpt(sp, v, 2)
-		nt.Stops = v[1:]
-	}
-	nt.Cost = tsp.Cost(sp, nt.Vertices())
-	return nt
-}
-
-// removeStopLists is removeStop through the candidate-list 2-opt;
-// bit-identical to removeStop over the same Dense space.
-func removeStopLists(d metric.Dense, nl *metric.NearestLists, t Tour, si int, sc *tsp.Scratch) Tour {
+// with two rounds of 2-opt.
+func removeStop(d metric.Dense, nl *metric.NearestLists, t Tour, si int, sc *tsp.Scratch) Tour {
 	stops := make([]int, 0, len(t.Stops)-1)
 	stops = append(stops, t.Stops[:si]...)
 	stops = append(stops, t.Stops[si+1:]...)
@@ -206,9 +113,9 @@ func removeStopLists(d metric.Dense, nl *metric.NearestLists, t Tour, si int, sc
 	return nt
 }
 
-// insertCheapestLists is insertCheapest with the insertion scan pruned
-// by s's candidate list (tsp.InsertionPoint); bit-identical result.
-func insertCheapestLists(d metric.Dense, nl *metric.NearestLists, t Tour, s int, sc *tsp.Scratch) Tour {
+// insertCheapest inserts sensor s into tour t at the position that
+// increases its length least (tsp.InsertionPoint).
+func insertCheapest(d metric.Dense, nl *metric.NearestLists, t Tour, s int, sc *tsp.Scratch) Tour {
 	verts := t.Vertices()
 	bestPos, _ := tsp.InsertionPoint(d, nl, verts, s, sc)
 	stops := make([]int, 0, len(t.Stops)+1)
@@ -217,26 +124,5 @@ func insertCheapestLists(d metric.Dense, nl *metric.NearestLists, t Tour, s int,
 	stops = append(stops, verts[bestPos:]...)
 	nt := Tour{Depot: t.Depot, Stops: stops}
 	nt.Cost = tsp.Cost(d, nt.Vertices())
-	return nt
-}
-
-// insertCheapest inserts sensor s into tour t at the position that
-// increases its length least.
-func insertCheapest[S metric.Space](sp S, t Tour, s int) Tour {
-	verts := t.Vertices()
-	bestPos, bestDelta := len(verts), math.Inf(1)
-	for i := 0; i < len(verts); i++ {
-		a := verts[i]
-		b := verts[(i+1)%len(verts)]
-		if delta := sp.Dist(a, s) + sp.Dist(s, b) - sp.Dist(a, b); delta < bestDelta {
-			bestPos, bestDelta = i+1, delta
-		}
-	}
-	stops := make([]int, 0, len(t.Stops)+1)
-	stops = append(stops, verts[1:bestPos]...)
-	stops = append(stops, s)
-	stops = append(stops, verts[bestPos:]...)
-	nt := Tour{Depot: t.Depot, Stops: stops}
-	nt.Cost = tsp.Cost(sp, nt.Vertices())
 	return nt
 }

@@ -9,30 +9,38 @@ import (
 	"repro/internal/tsp"
 )
 
-// TestBalanceToursListsMatchPlain pins the candidate-list balance path
-// to the plain relocation search: same moves, same final solution, for
-// every k including complete lists.
+// TestBalanceToursListsMatchPlain pins the Dense balance search to the
+// plain relocation oracle: same moves, same final solution, with nil
+// lists (k == 0, every position scanned) and for every k including
+// complete lists.
 func TestBalanceToursListsMatchPlain(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	sc := tsp.NewScratch()
 	for trial := 0; trial < 8; trial++ {
 		n := 60 + r.Intn(90)
 		q := 2 + r.Intn(4)
-		d := metric.Materialize(randomSpace(r, n))
+		eu := randomSpace(r, n)
+		d := metric.Materialize(eu)
 		depots, sensors := splitIndices(r, n, q)
 		sol := Tours(d, depots, sensors, Options{})
-		want := balanceTours(d, sol, 0)
-		for _, k := range []int{2, 8, 16, n} {
-			nl := d.NearestLists(k)
-			got := BalanceToursLists(d, nl, sol, 0, sc)
+		want := balanceToursOracle(d, sol, 0)
+		for _, k := range []int{0, 2, 8, 16, n} {
+			var nl *metric.NearestLists
+			if k > 0 {
+				nl = d.NearestLists(k)
+			}
+			got := balanceTours(d, nl, sol, 0, sc)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d k=%d: listed balance diverged from plain", trial, k)
 			}
 		}
-		// The public entry auto-builds above the size floor; it must
-		// land on the same solution too.
-		if got := BalanceTours(d, sol, 0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: public BalanceTours diverged from plain", trial)
+		// The public entry auto-builds above the size floor and
+		// materializes a non-Dense space; both must land on the same
+		// solution too.
+		for _, sp := range []metric.Space{d, eu} {
+			if got := BalanceTours(sp, sol, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: public BalanceTours(%T) diverged from plain", trial, sp)
+			}
 		}
 	}
 }
@@ -65,9 +73,9 @@ func TestRefineWithNeighborsMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestCheapestInsertionMatchesScan pins tsp.CheapestInsertion (used by
-// the balance relocation search) to the plain linear scan, across list
-// sizes and tour subsets.
+// TestCheapestInsertionMatchesScan pins tsp.InsertionPoint (used by the
+// balance relocation search) with candidate lists to its plain linear
+// scan, across list sizes and tour subsets.
 func TestCheapestInsertionMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(127))
 	d := metric.Materialize(randomSpace(r, 120))

@@ -73,7 +73,7 @@ func newResidEngine(env *Env, dm disturb.Model, sc *Scratch, res *Result) *resid
 // model's piecewise-constant rate times the disturbance factor, exactly
 // the product PR 9's consumeDisturbed applied per piece.
 func (re *residEngine) rate(i int, t float64) float64 {
-	return re.model.Rate(i, t)*re.dm.RateFactor(i, t)
+	return re.model.Rate(i, t) * re.dm.RateFactor(i, t)
 }
 
 // nextBoundary returns the first merged rate-grid boundary strictly

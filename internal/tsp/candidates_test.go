@@ -8,7 +8,7 @@ import (
 	"repro/internal/metric"
 )
 
-// refiner pairs a candidate-list sweep with its full-sweep reference.
+// refiner pairs a Dense list kernel with its full-sweep oracle.
 type refiner struct {
 	name  string
 	lists func(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int)
@@ -36,18 +36,28 @@ func randomTour(r *rand.Rand, n int) []int {
 	return tour
 }
 
+// listsFor returns d's k-nearest candidate lists, or nil — the kernels'
+// examine-every-position mode — for k == 0.
+func listsFor(d metric.Dense, k int) *metric.NearestLists {
+	if k == 0 {
+		return nil
+	}
+	return d.NearestLists(k)
+}
+
 // TestCandidateListsMatchFullSweep is the tentpole property: on random
-// Euclidean instances, for every refiner, every k (including k >= n
-// where the lists are complete and the radius fallback never fires, and
-// tiny k where it fires constantly) and several round budgets, the
-// candidate-list sweep returns the identical tour and move count.
+// Euclidean instances, for every refiner, nil lists and every k
+// (including k >= n where the lists are complete and the radius
+// fallback never fires, and tiny k where it fires constantly) and
+// several round budgets, the list kernel returns the identical tour and
+// move count as the full-sweep oracle.
 func TestCandidateListsMatchFullSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	sc := NewScratch() // shared across all calls: exercises arena reuse
 	for _, n := range []int{5, 8, 23, 77, 200} {
 		d := metric.Materialize(randomSpace(r, n))
-		for _, k := range []int{1, 2, 4, 8, 16, n - 1, n + 10} {
-			nl := d.NearestLists(k)
+		for _, k := range []int{0, 1, 2, 4, 8, 16, n - 1, n + 10} {
+			nl := listsFor(d, k)
 			for _, rounds := range []int{1, 3, -1} {
 				for _, rf := range refiners() {
 					if rf.name == "SegmentExchange" && n > 100 && rounds < 0 {
@@ -103,37 +113,45 @@ func TestCandidateListsSubsetTour(t *testing.T) {
 }
 
 // TestPublicEntriesAutoBuild checks that the public TwoOpt/OrOpt/
-// SegmentExchange still return full-sweep results when the auto-build
-// threshold trips (tour large relative to the space).
+// SegmentExchange return the full-sweep oracle's results on both sides
+// of the auto-build threshold, and on a non-Dense space, which they
+// flatten over the tour's vertices before refining on local indices.
 func TestPublicEntriesAutoBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	n := autoListMinTour + 40 // above the auto-build floor
-	d := metric.Materialize(randomSpace(r, n))
-	base := randomTour(r, n)
 	type entry struct {
 		name   string
 		public func(sp metric.Space, tour []int, maxRounds int) ([]int, int)
-		plain  func(d metric.Dense, tour []int, maxRounds int) ([]int, int)
+		plain  func(sp metric.Space, tour []int, maxRounds int) ([]int, int)
 	}
-	for _, e := range []entry{
-		{"TwoOpt", TwoOpt, func(d metric.Dense, tour []int, r int) ([]int, int) { return twoOpt(d, tour, r) }},
-		{"OrOpt", OrOpt, func(d metric.Dense, tour []int, r int) ([]int, int) { return orOpt(d, tour, r) }},
-		{"SegmentExchange", SegmentExchange, func(d metric.Dense, tour []int, r int) ([]int, int) { return segmentExchange(d, tour, r) }},
-	} {
-		rounds := -1
-		if e.name == "SegmentExchange" {
-			rounds = 2
-		}
-		want := append([]int(nil), base...)
-		got := append([]int(nil), base...)
-		want, wantMoves := e.plain(d, want, rounds)
-		got, gotMoves := e.public(d, got, rounds)
-		if gotMoves != wantMoves {
-			t.Fatalf("%s: %d moves via public entry, want %d", e.name, gotMoves, wantMoves)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: public entry diverged from full sweep", e.name)
+	entries := []entry{
+		{"TwoOpt", TwoOpt, twoOpt[metric.Space]},
+		{"OrOpt", OrOpt, orOpt[metric.Space]},
+		{"SegmentExchange", SegmentExchange, segmentExchange[metric.Space]},
+	}
+	// Above the floor the tour spans the space; below it the tour is a
+	// subset, so the flattened local indices differ from the space's.
+	for _, c := range []struct{ n, m int }{{autoListMinTour + 40, autoListMinTour + 40}, {90, 30}} {
+		eu := randomSpace(r, c.n)
+		d := metric.Materialize(eu)
+		base := r.Perm(c.n)[:c.m]
+		for _, sp := range []metric.Space{d, eu} {
+			for _, e := range entries {
+				rounds := -1
+				if e.name == "SegmentExchange" {
+					rounds = 2
+				}
+				want, wantMoves := e.plain(sp, append([]int(nil), base...), rounds)
+				got, gotMoves := e.public(sp, append([]int(nil), base...), rounds)
+				if gotMoves != wantMoves {
+					t.Fatalf("%s %T n=%d m=%d: %d moves via public entry, want %d",
+						e.name, sp, c.n, c.m, gotMoves, wantMoves)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s %T n=%d m=%d: public entry diverged from full sweep",
+							e.name, sp, c.n, c.m)
+					}
+				}
 			}
 		}
 	}

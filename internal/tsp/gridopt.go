@@ -23,16 +23,14 @@ import (
 
 // TwoOptGrid is TwoOptLists over a coordinate view: tour entries are
 // local indices into cs, and nl must have been built over the same
-// member set (a grid sub-index). nil nl degrades to the plain sweep;
-// the result is bit-identical to TwoOptLists on the flattened Dense.
+// member set (a grid sub-index). nil nl examines every position in the
+// same loop; the result is bit-identical to TwoOptLists on the
+// flattened Dense.
 func TwoOptGrid(cs metric.Coords, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
 	const eps = 1e-9
 	n := len(tour)
 	if n < 4 {
 		return tour, 0
-	}
-	if nl == nil {
-		return twoOpt(cs, tour, maxRounds)
 	}
 	if sc == nil {
 		sc = NewScratch()
@@ -49,7 +47,7 @@ func TwoOptGrid(cs metric.Coords, nl *metric.NearestLists, tour []int, maxRounds
 		for i := 0; i < n-1; i++ {
 			a := tour[i]
 			jStart := i + 2
-			full := false
+			full := nl == nil
 			for jStart < n {
 				b := tour[i+1]
 				dab := elen[i]
@@ -143,7 +141,7 @@ func OrOptGrid(cs metric.Coords, nl *metric.NearestLists, tour []int, maxRounds 
 		return tour, 0
 	}
 	if nl == nil {
-		return orOpt(cs, tour, maxRounds)
+		nl = &noLists
 	}
 	if sc == nil {
 		sc = NewScratch()

@@ -59,7 +59,9 @@ func flattenRefine(g *metric.Grid, tour []int, rounds int, sc *Scratch) []int {
 // sweeps are built on: TwoOptGrid and OrOptGrid applied through a
 // coordinate view produce the identical tour and move count as
 // TwoOptLists/OrOptLists on the flattened Dense over the same vertices,
-// for every list size (complete and truncated) and round budget.
+// for every list size (complete and truncated) and round budget. The
+// nil-lists row (k == 0) runs both kernels examining every position and
+// also holds the grid kernels to the full-sweep oracle.
 func TestGridRefinersMatchFlatten(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	scGrid, scDense := NewScratch(), NewScratch()
@@ -71,22 +73,33 @@ func TestGridRefinersMatchFlatten(t *testing.T) {
 			d := metric.NewSub(g, members).Flatten()
 			sub := g.SubIndex(members)
 			cs := sub.Coords()
-			for _, k := range []int{2, 8, metric.DefaultNearest, m + 5} {
-				var nl metric.NearestLists
-				sub.BuildLists(&nl, k)
+			for _, k := range []int{0, 2, 8, metric.DefaultNearest, m + 5} {
+				var nl *metric.NearestLists
+				if k > 0 {
+					nl = new(metric.NearestLists)
+					sub.BuildLists(nl, k)
+				}
 				for _, rounds := range []int{1, 3, -1} {
 					base := randomTour(r, m)
 					wantT := append([]int(nil), base...)
 					gotT := append([]int(nil), base...)
-					wantT, wantMoves := TwoOptLists(d, &nl, wantT, rounds, scDense)
-					gotT, gotMoves := TwoOptGrid(cs, &nl, gotT, rounds, scGrid)
+					wantT, wantMoves := TwoOptLists(d, nl, wantT, rounds, scDense)
+					gotT, gotMoves := TwoOptGrid(cs, nl, gotT, rounds, scGrid)
 					checkSame(t, "TwoOpt", n, m, k, rounds, gotT, wantT, gotMoves, wantMoves)
+					if k == 0 {
+						oracleT, oracleMoves := twoOpt(cs, append([]int(nil), base...), rounds)
+						checkSame(t, "TwoOpt oracle", n, m, k, rounds, gotT, oracleT, gotMoves, oracleMoves)
+					}
 
 					wantO := append([]int(nil), wantT...)
 					gotO := append([]int(nil), gotT...)
-					wantO, wantMoves = OrOptLists(d, &nl, wantO, rounds, scDense)
-					gotO, gotMoves = OrOptGrid(cs, &nl, gotO, rounds, scGrid)
+					wantO, wantMoves = OrOptLists(d, nl, wantO, rounds, scDense)
+					gotO, gotMoves = OrOptGrid(cs, nl, gotO, rounds, scGrid)
 					checkSame(t, "OrOpt", n, m, k, rounds, gotO, wantO, gotMoves, wantMoves)
+					if k == 0 {
+						oracleO, oracleMoves := orOpt(cs, append([]int(nil), gotT...), rounds)
+						checkSame(t, "OrOpt oracle", n, m, k, rounds, gotO, oracleO, gotMoves, oracleMoves)
+					}
 				}
 			}
 		}

@@ -12,118 +12,45 @@ import "repro/internal/metric"
 // Complexity is O(n^2) per sweep. eps guards against endless loops on
 // floating-point noise.
 //
-// When sp is a metric.Dense the sweep runs a devirtualized instantiation
-// whose distance lookups inline to flat-array indexing; on instances
-// large enough to amortize the build it additionally runs the exact
-// candidate-list sweep (see candidates.go). The move sequence (and
-// hence the result) is identical on all paths.
+// The sweep is TwoOptLists: over sp itself when sp is a metric.Dense,
+// otherwise over the tour's vertices flattened into a local Dense
+// (O(m²) memory for an m-vertex tour). Candidate lists are built
+// privately when the instance is large enough to amortize them
+// (AutoLists); either way the moves are those of the plain
+// first-improvement sweep.
 func TwoOpt(sp metric.Space, tour []int, maxRounds int) ([]int, int) {
-	if d, ok := metric.AsDense(sp); ok {
-		if nl := autoLists(d, len(tour)); nl != nil {
-			return TwoOptLists(d, nl, tour, maxRounds, nil)
-		}
-		return twoOpt(d, tour, maxRounds)
-	}
-	return twoOpt(sp, tour, maxRounds)
-}
-
-func twoOpt[S metric.Space](sp S, tour []int, maxRounds int) ([]int, int) {
-	const eps = 1e-9
-	n := len(tour)
-	moves := 0
-	if n < 4 {
-		return tour, 0
-	}
-	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
-		improved := false
-		for i := 0; i < n-1; i++ {
-			a, b := tour[i], tour[(i+1)%n]
-			dab := sp.Dist(a, b)
-			for j := i + 2; j < n; j++ {
-				if i == 0 && j == n-1 {
-					continue // would reverse the whole tour
-				}
-				c, d := tour[j], tour[(j+1)%n]
-				delta := sp.Dist(a, c) + sp.Dist(b, d) - dab - sp.Dist(c, d)
-				if delta < -eps {
-					// Reverse tour[i+1..j].
-					for l, r := i+1, j; l < r; l, r = l+1, r-1 {
-						tour[l], tour[r] = tour[r], tour[l]
-					}
-					b = tour[(i+1)%n]
-					dab = sp.Dist(a, b)
-					improved = true
-					moves++
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return tour, moves
+	return onDense(sp, tour, maxRounds, TwoOptLists)
 }
 
 // OrOpt improves tour in place by relocating chains of 1, 2 or 3
 // consecutive vertices to a better position, preserving tour[0]. It
 // complements TwoOpt: segment reversal cannot express single-vertex
 // relocation cheaply. Returns the tour and the number of moves applied.
-// Like TwoOpt it dispatches to a devirtualized sweep on metric.Dense.
+// Like TwoOpt it runs the Dense list kernel, OrOptLists.
 func OrOpt(sp metric.Space, tour []int, maxRounds int) ([]int, int) {
-	if d, ok := metric.AsDense(sp); ok {
-		if nl := autoLists(d, len(tour)); nl != nil {
-			return OrOptLists(d, nl, tour, maxRounds, nil)
-		}
-		return orOpt(d, tour, maxRounds)
-	}
-	return orOpt(sp, tour, maxRounds)
+	return onDense(sp, tour, maxRounds, OrOptLists)
 }
 
-func orOpt[S metric.Space](sp S, tour []int, maxRounds int) ([]int, int) {
-	const eps = 1e-9
-	n := len(tour)
-	moves := 0
-	if n < 5 {
-		return tour, 0
+// onDense runs a Dense list kernel on tour. A Dense sp is refined in
+// place; any other space is flattened over the tour's vertices — grid-
+// scale callers use RefineTourGrid instead, which needs no O(m²) block —
+// and the refined local order is mapped back onto tour. Flattening
+// copies sp's distances bit for bit, so the moves are the same on both
+// paths.
+func onDense(sp metric.Space, tour []int, maxRounds int,
+	kernel func(metric.Dense, *metric.NearestLists, []int, int, *Scratch) ([]int, int)) ([]int, int) {
+	if d, ok := metric.AsDense(sp); ok {
+		return kernel(d, AutoLists(d, len(tour)), tour, maxRounds, nil)
 	}
-	at := func(i int) int { return tour[((i%n)+n)%n] }
-	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
-		improved := false
-		for segLen := 1; segLen <= 3; segLen++ {
-			for i := 1; i+segLen <= n; i++ { // never move tour[0]
-				p0 := at(i - 1)
-				s0 := tour[i]
-				s1 := tour[i+segLen-1]
-				p1 := at(i + segLen)
-				removeGain := sp.Dist(p0, s0) + sp.Dist(s1, p1) - sp.Dist(p0, p1)
-				if removeGain <= eps {
-					continue
-				}
-				bestJ, bestDelta := -1, -eps
-				for j := 0; j < n; j++ {
-					// Insert after position j; skip positions inside
-					// or adjacent to the segment.
-					if j >= i-1 && j <= i+segLen-1 {
-						continue
-					}
-					a := tour[j]
-					b := at(j + 1)
-					insCost := sp.Dist(a, s0) + sp.Dist(s1, b) - sp.Dist(a, b)
-					if delta := insCost - removeGain; delta < bestDelta {
-						bestJ, bestDelta = j, delta
-					}
-				}
-				if bestJ < 0 {
-					continue
-				}
-				tour = relocate(tour, i, segLen, bestJ)
-				improved = true
-				moves++
-			}
-		}
-		if !improved {
-			break
-		}
+	d := metric.NewSub(sp, tour).Flatten()
+	local := make([]int, len(tour))
+	for i := range local {
+		local[i] = i
+	}
+	local, moves := kernel(d, AutoLists(d, len(local)), local, maxRounds, nil)
+	orig := append([]int(nil), tour...)
+	for i, li := range local {
+		tour[i] = orig[li]
 	}
 	return tour, moves
 }

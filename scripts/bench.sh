@@ -25,7 +25,7 @@
 # ratchet with the same tool:
 #
 #   go run ./cmd/bench -compare -threshold 0.25 \
-#       ROBUST_pr10.json NEW_SWEEP.json
+#       ROBUST_pr10_small.json NEW_SWEEP.json
 set -eu
 
 cd "$(dirname "$0")/.."

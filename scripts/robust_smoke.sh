@@ -15,7 +15,7 @@
 # footprint via the harness's own -maxwallms/-maxheapbytes flags —
 # a committed-artifact-sized sweep must stay inside CI's time and
 # memory budgets, and still lose zero sensors. The committed
-# ROBUST_pr10.json baseline records the full-size numbers. Tunables
+# ROBUST_pr10_small.json baseline records the n=150 sweep. Tunables
 # via environment:
 #
 #   ROBUST_N, ROBUST_Q     phase-1 topology       (default 25 sensors, 3 depots)
