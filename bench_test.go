@@ -165,14 +165,6 @@ func BenchmarkVarSim(b *testing.B) {
 	}
 }
 
-func BenchmarkDoubleTreeTour(b *testing.B) {
-	_, sp := benchNetwork(b, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tsp.MSTTour(sp, 0)
-	}
-}
-
 func BenchmarkTwoOpt(b *testing.B) {
 	_, sp := benchNetwork(b, 300)
 	base := tsp.NearestNeighbor(sp, 0)
@@ -195,25 +187,6 @@ func BenchmarkScheduleVerify(b *testing.B) {
 		if err := plan.Schedule.Verify(cycles, 1e-6); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkGreedyEdgeTour(b *testing.B) {
-	_, sp := benchNetwork(b, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tsp.GreedyEdge(sp, 0)
-	}
-}
-
-func BenchmarkSegmentExchange(b *testing.B) {
-	_, sp := benchNetwork(b, 120)
-	base := tsp.NearestNeighbor(sp, 0)
-	base, _ = tsp.TwoOpt(sp, base, -1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tour := append([]int(nil), base...)
-		tsp.SegmentExchange(sp, tour, 1)
 	}
 }
 

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -25,7 +27,10 @@ func pr9Config() sweepConfig {
 // replications both parallel) and through the retained reference
 // runner on a single worker. Together with the tiny-config determinism
 // test this pins equivalence at any worker count: worker shape cannot
-// change either runner's output, and the runners agree.
+// change either runner's output, and the runners agree. The event
+// runner's rows must also equal the committed artifact's results
+// block (ROBUST_pr10_small.json, whose results equal ROBUST_pr9.json's),
+// so the committed numbers keep regenerating unchanged.
 //
 // The sweep takes minutes at full configuration, so -short skips it
 // and race builds defer to the seconds-scale determinism tests.
@@ -57,5 +62,22 @@ func TestPR9ConfigEventMatchesReference(t *testing.T) {
 	}
 	if !bytes.Equal(evJSON, refJSON) {
 		t.Errorf("event-driven sweep differs from reference runner at the full ROBUST_pr9 configuration:\n%s\n---\n%s", evJSON, refJSON)
+	}
+
+	data, err := os.ReadFile("../../ROBUST_pr10_small.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed outFile
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(committed.Config, cfg) {
+		t.Fatalf("ROBUST_pr10_small.json config %+v differs from pr9Config %+v", committed.Config, cfg)
+	}
+	if !reflect.DeepEqual(event.Rows, committed.Rows) {
+		got, _ := json.MarshalIndent(event.Rows, "", "  ")
+		want, _ := json.MarshalIndent(committed.Rows, "", "  ")
+		t.Errorf("sweep results no longer reproduce ROBUST_pr10_small.json:\n%s\n--- committed\n%s", got, want)
 	}
 }

@@ -1,10 +1,15 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/plot"
 )
 
 // TestGoldenCells pins the exact service costs of a handful of
@@ -49,3 +54,55 @@ const (
 	goldenFig1aGreedy = 251814.637208
 	goldenFig3Var     = 166200.153172
 )
+
+// TestFig1aReproducesArchive regenerates Fig. 1(a) at the paper's full
+// configuration (experiment.Config{}: 100 topologies per point, T =
+// 1000) and byte-compares its CSV with the archived results/fig1a.csv.
+// The archive predates the per-algorithm _ms wall-clock columns, which
+// are not reproducible anyway, so they are dropped before comparing.
+// It takes seconds, so -short and the race detector skip it.
+func TestFig1aReproducesArchive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-configuration figure sweep; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("full-configuration figure sweep; too slow under the race detector")
+	}
+	s, err := experiment.Figure("1a", experiment.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := plot.WriteCSV(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep []int
+	for j, h := range records[0] {
+		if !strings.HasSuffix(h, "_ms") {
+			keep = append(keep, j)
+		}
+	}
+	var got bytes.Buffer
+	w := csv.NewWriter(&got)
+	for _, rec := range records {
+		row := make([]string, len(keep))
+		for k, j := range keep {
+			row[k] = rec[j]
+		}
+		if err := w.Write(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	want, err := os.ReadFile("results/fig1a.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("Fig. 1(a) no longer reproduces results/fig1a.csv:\n%s\n--- archived\n%s", got.Bytes(), want)
+	}
+}

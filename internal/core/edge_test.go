@@ -125,48 +125,3 @@ func TestGreedyRefinedToursNeverCostMore(t *testing.T) {
 		t.Errorf("refined greedy %g > plain %g", refined.Cost(), plain.Cost())
 	}
 }
-
-func TestPlanFixedSortieBudget(t *testing.T) {
-	nw := genNet(t, 43, 60, 4, linearDist())
-	unlimited, err := PlanFixed(nw, 200, FixedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := unlimited.RoundSolutions[len(unlimited.RoundSolutions)-1].MaxTourCost() / 2
-	plan, err := PlanFixed(nw, 200, FixedOptions{SortieBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, sol := range plan.RoundSolutions {
-		for _, tour := range sol.Tours {
-			if tour.Cost > budget+1e-6 {
-				t.Fatalf("D_%d sortie %g over budget %g", k, tour.Cost, budget)
-			}
-		}
-	}
-	if err := plan.Schedule.Verify(nw.Cycles(), 1e-6); err != nil {
-		t.Fatalf("budgeted plan infeasible: %v", err)
-	}
-	if plan.Cost() < unlimited.Cost()-1e-6 {
-		t.Errorf("budgeted plan cheaper (%g) than unlimited (%g)?", plan.Cost(), unlimited.Cost())
-	}
-	// Impossible budgets surface as errors.
-	if _, err := PlanFixed(nw, 200, FixedOptions{SortieBudget: 1}); err == nil {
-		t.Error("impossible budget accepted")
-	}
-}
-
-func TestPlanFixedSortieBudgetParallel(t *testing.T) {
-	nw := genNet(t, 43, 60, 4, linearDist())
-	seq, err := PlanFixed(nw, 200, FixedOptions{SortieBudget: 2500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := PlanFixed(nw, 200, FixedOptions{SortieBudget: 2500, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Cost() != par.Cost() { //lint:allow floateq sequential and parallel planning must agree bit-for-bit
-		t.Errorf("parallel budgeted plan differs: %g vs %g", par.Cost(), seq.Cost())
-	}
-}

@@ -16,8 +16,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/check"
 	"repro/internal/metric"
@@ -35,17 +33,6 @@ type FixedOptions struct {
 	// (smaller K) at the price of rounding cycles down more
 	// aggressively; the rounding-base ablation sweeps this.
 	Base float64
-	// Parallel computes the K+1 prefix-class tour solutions on
-	// separate goroutines. The solutions are independent, so the
-	// result is identical to the sequential computation; this only
-	// trades memory for wall-clock time on multicore machines.
-	Parallel bool
-	// SortieBudget, when positive, splits every charging tour so no
-	// single sortie travels farther than this (capacity-limited
-	// vehicles; see rooted.SplitTours). Feasibility is unaffected —
-	// the same sensors are charged at the same times, possibly by
-	// several back-to-back sorties from the same depot.
-	SortieBudget float64
 	// Space, if non-nil, is a prebuilt metric over the network's points
 	// (net.Space() order). Callers running several plans on one
 	// topology pass the dense matrix once instead of re-materializing
@@ -180,44 +167,13 @@ func PlanFixed(net *wsn.Network, T float64, opt FixedOptions) (*FixedPlan, error
 		prefix = append(prefix, classes[k]...)
 		prefixes[k] = prefix[:len(prefix):len(prefix)]
 	}
-	build := func(k int) error {
+	// Largest prefix first: the solutions are independent, so order is
+	// free, and D_K's build watermarks the pooled MSF arena at its final
+	// size — the smaller prefixes then reuse it without regrowing any
+	// buffer, so the peak heap is one arena, not an arena plus the
+	// garbage of K regrowths.
+	for k := K; k >= 0; k-- {
 		sols[k] = rooted.Tours(space, depots, prefixes[k], opt.Rooted)
-		if opt.SortieBudget > 0 {
-			split, err := rooted.SplitTours(space, sols[k], opt.SortieBudget)
-			if err != nil {
-				return fmt.Errorf("core: splitting D_%d: %w", k, err)
-			}
-			sols[k] = split
-		}
-		return nil
-	}
-	if opt.Parallel {
-		var wg sync.WaitGroup
-		errs := make([]error, K+1)
-		for k := 0; k <= K; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				errs[k] = build(k)
-			}(k)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
-	} else {
-		// Largest prefix first: the solutions are independent, so order
-		// is free, and D_K's build watermarks the pooled MSF arena at
-		// its final size — the smaller prefixes then reuse it without
-		// regrowing any buffer, so the serial path's peak heap is one
-		// arena, not an arena plus the garbage of K regrowths.
-		for k := K; k >= 0; k-- {
-			if err := build(k); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	plan := &FixedPlan{
@@ -347,11 +303,3 @@ func ClassIndex(c, tau1, base float64) int { return classIndex(c, tau1, base) }
 // delta patcher weighs per-solution cost changes by exactly the rounds
 // that replay each solution.
 func RoundOrder(j int, base float64, cap int) int { return orderOf(j, base, cap) }
-
-// SortedCycles returns a copy of cycles sorted ascending; exposed for
-// tests and diagnostics mirroring the paper's τ_1 <= ... <= τ_n notation.
-func SortedCycles(net *wsn.Network) []float64 {
-	out := net.Cycles()
-	sort.Float64s(out)
-	return out
-}

@@ -219,21 +219,6 @@ func (m *collapseModel) Rate(i int, t float64) float64 {
 }
 func (m *collapseModel) SlotLength() float64 { return m.at }
 
-func TestVarNoPatchingStillSafe(t *testing.T) {
-	dist := linearDist()
-	nw := genNet(t, 13, 30, 3, dist)
-	model := slottedModel(t, nw, dist, 5, 99)
-	pol := NewVar(rooted.Options{})
-	pol.NoPatching = true
-	res, err := sim.Run(nw, model, pol, sim.Config{T: 120, Dt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Deaths != 0 {
-		t.Errorf("deaths = %d with NoPatching", res.Deaths)
-	}
-}
-
 func TestVarCheaperThanGreedyOnLinear(t *testing.T) {
 	// The paper's headline comparison, in miniature: across a few
 	// seeds, MinTotalDistance-var should beat greedy on average under

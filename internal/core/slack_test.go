@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/energy"
-	"repro/internal/rooted"
-	"repro/internal/sim"
 	"repro/internal/wsn"
 )
 
@@ -71,33 +68,5 @@ func TestPlanFixedAlignTau1(t *testing.T) {
 	// no base period.
 	if _, err := PlanFixed(nw, 80, FixedOptions{AlignTau1: 1000}); err == nil {
 		t.Error("τ_1 aligned to zero accepted")
-	}
-}
-
-func TestVarSlackSurvivesAndInflatesCost(t *testing.T) {
-	nw := genNet(t, 34, 25, 3, wsn.LinearDist{TauMin: 4, TauMax: 40, Sigma: 1})
-	model := energy.NewFixed(nw)
-	run := func(slack float64) sim.Result {
-		t.Helper()
-		v := NewVar(rooted.Options{})
-		v.Slack = slack
-		res, err := sim.Run(nw, model, v, sim.Config{T: 100, Dt: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(0)
-	slacked := run(0.1)
-	if plain.Deaths != 0 || slacked.Deaths != 0 {
-		t.Fatalf("deaths: plain=%d slacked=%d, want 0", plain.Deaths, slacked.Deaths)
-	}
-	if slacked.Cost() <= plain.Cost() {
-		t.Errorf("ε=0.1 cost %g not above ε=0 cost %g", slacked.Cost(), plain.Cost())
-	}
-	v := NewVar(rooted.Options{})
-	v.Slack = 1.2
-	if _, err := sim.Run(nw, model, v, sim.Config{T: 50, Dt: 1}); err == nil {
-		t.Error("Var.Slack=1.2 accepted")
 	}
 }

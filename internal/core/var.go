@@ -34,9 +34,6 @@ type Var struct {
 	// directions); disabling it is an ablation that only reacts to
 	// shrinking cycles. Default true.
 	ReplanOnImprove bool
-	// NoPatching disables the V^a patching step (ablation); stranded
-	// sensors are instead dumped into the emergency round C'_0.
-	NoPatching bool
 	// NoLifetimeGuard reverts to the paper's literal trigger (cycle
 	// leaves the band [τ̂', 2τ̂')), disabling the residual-lifetime
 	// guard documented in DESIGN.md. Paper-faithful but unsafe: rare
@@ -54,12 +51,6 @@ type Var struct {
 	// verification hook); every round solution is then rebuilt from
 	// scratch exactly as the pre-memoization code did.
 	NoMemo bool
-	// Slack is the robustness margin ε in [0, 1): every replan treats
-	// the reported cycles as τ̂_i·(1−ε), banking a fraction of each
-	// cycle against disturbance (travel noise, breakdown recovery,
-	// drift between reports). 0 plans against the reported cycles
-	// exactly — the paper's setting.
-	Slack float64
 
 	plan     *varPlan
 	assigned []float64 // τ̂'_i under the current plan
@@ -81,10 +72,10 @@ type Var struct {
 	reported []float64 // last cycle each sensor reported to the BS
 	memo     tourMemo  // cross-plan (depots, members, options) tour cache
 
-	// cyclesBuf and livesBuf back replan's per-epoch snapshots; replans
-	// recur throughout a run, so reusing them keeps the planner
-	// allocation-free outside of genuinely new plan structures.
-	cyclesBuf, livesBuf []float64
+	// livesBuf backs replan's per-epoch lifetime snapshot; replans recur
+	// throughout a run, so reusing it keeps the planner allocation-free
+	// outside of genuinely new plan structures.
+	livesBuf []float64
 }
 
 // varPlan is one planning epoch: a MinTotalDistance schedule anchored at
@@ -113,9 +104,6 @@ func (v *Var) Name() string { return "MinTotalDistance-var" }
 // (fully observed) initial cycles. All batteries are full, so V^a is
 // empty and no patching occurs.
 func (v *Var) Init(env *sim.Env) error {
-	if v.Slack < 0 || v.Slack >= 1 {
-		return fmt.Errorf("core: Var.Slack must be in [0, 1), got %g", v.Slack)
-	}
 	n := env.Net.N()
 	v.assigned = make([]float64, n)
 	v.nextCharge = make([]float64, n)
@@ -198,10 +186,7 @@ func (v *Var) triggered(env *sim.Env) bool {
 	}
 	t := env.Now()
 	for i := range env.Net.Sensors {
-		// Assigned cycles were derived from slacked reports, so the
-		// feasibility band must be tested in the same slacked terms.
-		cur := v.reported[i] * (1 - v.Slack)
-		asg := v.assigned[i]
+		cur, asg := v.reported[i], v.assigned[i]
 		if cur < asg-eps {
 			return true
 		}
@@ -227,17 +212,13 @@ func (v *Var) replan(env *sim.Env, t float64) ([]rooted.Tour, error) {
 	defer func() { v.PlanNs += int64(time.Since(t0)) }() //lint:allow walltime diagnostic PlanNs accounting, never feeds results
 	v.Replans++
 	n := env.Net.N()
-	if cap(v.cyclesBuf) < n {
-		v.cyclesBuf = make([]float64, n)
+	if cap(v.livesBuf) < n {
 		v.livesBuf = make([]float64, n)
 	}
-	cycles := v.cyclesBuf[:n]
+	cycles := v.reported // replan plans against the last reports
 	lives := v.livesBuf[:n]
 	minCycle := math.Inf(1)
 	for i := 0; i < n; i++ {
-		// The ε-slack margin tightens every reported cycle before any
-		// class assignment, so the whole plan inherits the headroom.
-		cycles[i] = v.reported[i] * (1 - v.Slack)
 		lives[i] = env.ResidualLife(i)
 		minCycle = math.Min(minCycle, cycles[i])
 	}
@@ -280,7 +261,7 @@ func (v *Var) replan(env *sim.Env, t float64) ([]rooted.Tour, error) {
 		if lives[i] >= v.assigned[i]-slack {
 			continue // reaches its first scheduled charge
 		}
-		if lives[i] <= tau1*(1+slack) || v.NoPatching {
+		if lives[i] <= tau1*(1+slack) {
 			p.patches[0] = append(p.patches[0], i) // V^a_t: emergency
 		} else {
 			stranded = append(stranded, i)
@@ -510,12 +491,12 @@ type memoEntry struct {
 // on the order of both index lists, so only an exactly repeated call is
 // allowed to hit.
 func memoKey(depots, members []int, opt rooted.Options) []int {
-	key := make([]int, 0, 4+len(depots)+len(members))
+	key := make([]int, 0, 3+len(depots)+len(members))
 	refine := 0
 	if opt.Refine {
 		refine = 1
 	}
-	key = append(key, int(opt.Method), refine, opt.MaxRefineRounds, len(depots))
+	key = append(key, int(opt.Method), refine, len(depots))
 	key = append(key, depots...)
 	key = append(key, members...)
 	return key

@@ -131,16 +131,6 @@ func TestFactorsPositiveFinite(t *testing.T) {
 	}
 }
 
-func TestUniformTravelNoiseBounds(t *testing.T) {
-	n := NewTravelNoiseUniform(rng.New(1), 0.3)
-	for epoch := 0; epoch < 50; epoch++ {
-		f := n.TravelFactor(epoch, 1, 2)
-		if f < 0.7 || f >= 1.3 {
-			t.Fatalf("uniform factor %v outside [0.7, 1.3)", f)
-		}
-	}
-}
-
 func TestBreakdownWindowsWellFormed(t *testing.T) {
 	b := NewBreakdowns(rng.New(5), 10, 2)
 	const q, T = 3, 100.0

@@ -8,18 +8,14 @@ import (
 )
 
 // TravelNoise perturbs every tour leg's travel time by an independent
-// multiplicative factor: lognormal exp(σ·Z) by default, or uniform on
-// [1−σ, 1+σ] when Uniform is set (σ < 1 required there so factors stay
-// positive). Each leg's factor is a pure function of the seed and the
-// (epoch, tour, leg) labels, so replays are bit-identical in any query
-// order.
+// lognormal multiplicative factor exp(σ·Z). Each leg's factor is a pure
+// function of the seed and the (epoch, tour, leg) labels, so replays are
+// bit-identical in any query order.
 type TravelNoise struct {
 	Identity
 	src *rng.Source
-	// Sigma is the lognormal σ (or the uniform half-width).
+	// Sigma is the lognormal σ.
 	Sigma float64
-	// Uniform selects the uniform regime instead of lognormal.
-	Uniform bool
 }
 
 // NewTravelNoise returns lognormal travel noise with the given σ > 0.
@@ -28,30 +24,12 @@ func NewTravelNoise(src *rng.Source, sigma float64) *TravelNoise {
 	return &TravelNoise{src: src.Split(kindTravel), Sigma: sigma}
 }
 
-// NewTravelNoiseUniform returns uniform travel noise on [1−σ, 1+σ];
-// σ must be in (0, 1).
-func NewTravelNoiseUniform(src *rng.Source, sigma float64) *TravelNoise {
-	validatePositive("TravelNoise sigma", sigma)
-	if sigma >= 1 {
-		panic(fmt.Sprintf("disturb: uniform TravelNoise sigma must be < 1, got %g", sigma))
-	}
-	return &TravelNoise{src: src.Split(kindTravel), Sigma: sigma, Uniform: true}
-}
-
 // Name implements Model.
-func (n *TravelNoise) Name() string {
-	if n.Uniform {
-		return fmt.Sprintf("travel-uniform(%g)", n.Sigma)
-	}
-	return fmt.Sprintf("travel-lognormal(%g)", n.Sigma)
-}
+func (n *TravelNoise) Name() string { return fmt.Sprintf("travel-lognormal(%g)", n.Sigma) }
 
 // TravelFactor implements Model: an independent positive factor per
 // (epoch, tour, leg).
 func (n *TravelNoise) TravelFactor(epoch, tour, leg int) float64 {
 	leaf := n.src.Split(uint64(epoch), uint64(tour), uint64(leg))
-	if n.Uniform {
-		return leaf.Uniform(1-n.Sigma, 1+n.Sigma)
-	}
 	return math.Exp(n.Sigma * leaf.NormFloat64())
 }

@@ -146,9 +146,6 @@ func TestEWMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Seeded(0) {
-		t.Error("unseeded sensor reports seeded")
-	}
 	if got := e.Observe(0, 10); got != 10 {
 		t.Errorf("first observation = %g, want seed value 10", got)
 	}
@@ -157,9 +154,6 @@ func TestEWMA(t *testing.T) {
 	}
 	if got := e.Predict(0); got != 15 {
 		t.Errorf("Predict = %g", got)
-	}
-	if !e.Seeded(0) || e.Seeded(1) {
-		t.Error("seeding state wrong")
 	}
 }
 

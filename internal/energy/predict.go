@@ -45,6 +45,3 @@ func (e *EWMA) Predict(i int) float64 {
 	}
 	return e.pred[i]
 }
-
-// Seeded reports whether sensor i has at least one observation.
-func (e *EWMA) Seeded(i int) bool { return e.init[i] }

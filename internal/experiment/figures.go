@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/rooted"
 	"repro/internal/wsn"
 )
 
@@ -17,7 +16,6 @@ type Config struct {
 	T          float64 // monitoring period; 0 = 1000
 	Q          int     // chargers; 0 = 5
 	TauMin     float64 // 0 = 1
-	Rooted     rooted.Options
 	Progress   func(done, total int)
 }
 
@@ -47,7 +45,6 @@ func (c Config) base() Params {
 		TauMin: c.TauMin,
 		T:      c.T,
 		Dt:     c.TauMin,
-		Rooted: c.Rooted,
 	}
 }
 

@@ -5,7 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/wsn"
 )
+
+// PrepareNet wraps an already-built network — one that did not come from
+// Params.Network, e.g. a topology decoded from a serving request — in a
+// Prepared, materializing its dense distance matrix.
+func PrepareNet(net *wsn.Network) *Prepared { return PrepareNetInto(net, nil) }
 
 // preparedForced returns the cell's Prepared twice: once on the dense
 // path and once with the space swapped for a grid over the same points,

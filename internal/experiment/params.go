@@ -194,16 +194,14 @@ func PrepareInto(p Params, ws *Scratch) (*Prepared, error) {
 	return PrepareNetInto(net, ws), nil
 }
 
-// PrepareNet wraps an already-built network — one that did not come from
-// Params.Network, e.g. a topology decoded from a serving request — in a
-// Prepared, materializing its dense distance matrix.
-func PrepareNet(net *wsn.Network) *Prepared { return PrepareNetInto(net, nil) }
-
-// PrepareNetInto is PrepareNet with an optional worker arena: the dense
-// matrix, and lazily the candidate lists, are rebuilt into ws's reused
-// storage, so a worker that plans topology after topology (a sweep cell
-// or a serving request) allocates nothing in steady state. The returned
-// Prepared is only valid until ws's next PrepareInto/PrepareNetInto.
+// PrepareNetInto wraps an already-built network — one that did not come
+// from Params.Network, e.g. a topology decoded from a serving request —
+// in a Prepared. With a worker arena ws the dense matrix, and lazily the
+// candidate lists, are rebuilt into ws's reused storage, so a worker
+// that plans topology after topology (a sweep cell or a serving request)
+// allocates nothing in steady state; the returned Prepared is then only
+// valid until ws's next PrepareInto/PrepareNetInto. A nil ws allocates
+// privately.
 //
 // Topologies above metric.DenseLimit points get a metric.Grid instead
 // of a Dense matrix: O(n) memory, exact sub-quadratic queries, and a

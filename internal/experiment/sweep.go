@@ -107,17 +107,6 @@ type Series struct {
 	Points     []Point
 }
 
-// Ratio returns, for each x, the mean cost of algorithm a divided by the
-// mean cost of algorithm b — the headline comparison of the paper
-// ("MinTotalDistance is 55-60% of Greedy").
-func (s Series) Ratio(a, b string) []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Summary[a].Mean / p.Summary[b].Mean
-	}
-	return out
-}
-
 // Run executes the sweep.
 func (s Sweep) Run() (Series, error) {
 	if len(s.Xs) == 0 || s.Topologies <= 0 || len(s.Algorithms) == 0 {
@@ -256,15 +245,4 @@ func hashName(name string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// CompareAt runs a paired t-test between two algorithms' per-topology
-// costs at point index i. Cells are paired by construction (identical
-// topologies and cycle draws), making this the appropriate significance
-// test for the figures' cost comparisons.
-func (s Series) CompareAt(i int, a, b string) (stats.PairedT, error) {
-	if i < 0 || i >= len(s.Points) {
-		return stats.PairedT{}, fmt.Errorf("experiment: point index %d out of range", i)
-	}
-	return stats.PairedTTest(s.Points[i].Costs[a], s.Points[i].Costs[b])
 }

@@ -1,6 +1,5 @@
 // Package geom provides the planar geometry primitives used throughout the
-// charger-scheduling library: points, distances, rectangles and convex
-// hulls.
+// charger-scheduling library: points, distances and rectangles.
 //
 // All coordinates are in metres, matching the paper's 1,000m x 1,000m
 // deployment field. Distances are Euclidean, so every distance function in
@@ -34,18 +33,6 @@ func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
 }
-
-// Add returns the vector sum p+q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector difference p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
@@ -88,40 +75,6 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
-}
-
-// PathLength returns the total length of the polyline visiting pts in
-// order. It returns 0 for fewer than two points.
-func PathLength(pts []Point) float64 {
-	var sum float64
-	for i := 1; i < len(pts); i++ {
-		sum += pts[i-1].Dist(pts[i])
-	}
-	return sum
-}
-
-// CycleLength returns the total length of the closed tour visiting pts in
-// order and returning to pts[0]. It returns 0 for fewer than two points.
-func CycleLength(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	return PathLength(pts) + pts[len(pts)-1].Dist(pts[0])
-}
-
-// Centroid returns the arithmetic mean of pts. It panics on an empty
-// slice, as a centroid of nothing is meaningless.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		panic("geom: Centroid of empty point set")
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	n := float64(len(pts))
-	return Point{c.X / n, c.Y / n}
 }
 
 // NearestIndex returns the index of the point in pts closest to p and the

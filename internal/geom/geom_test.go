@@ -61,22 +61,6 @@ func TestDist2MatchesDist(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	a, b := Pt(1, 2), Pt(3, -4)
-	if got := a.Add(b); got != Pt(4, -2) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := a.Sub(b); got != Pt(-2, 6) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := a.Scale(2); got != Pt(2, 4) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := Pt(3, 4).Norm(); !almostEq(got, 5, 1e-12) {
-		t.Errorf("Norm = %g", got)
-	}
-}
-
 func TestRect(t *testing.T) {
 	r := Square(1000)
 	if r.Width() != 1000 || r.Height() != 1000 { //lint:allow floateq accessors return stored extents unchanged
@@ -109,51 +93,6 @@ func TestRectClamp(t *testing.T) {
 			t.Errorf("Clamp(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-}
-
-func TestPathAndCycleLength(t *testing.T) {
-	if got := PathLength(nil); got != 0 {
-		t.Errorf("PathLength(nil) = %g", got)
-	}
-	if got := PathLength([]Point{Pt(1, 1)}); got != 0 {
-		t.Errorf("PathLength(1 pt) = %g", got)
-	}
-	square := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
-	if got := PathLength(square); !almostEq(got, 3, 1e-12) {
-		t.Errorf("PathLength(square) = %g, want 3", got)
-	}
-	if got := CycleLength(square); !almostEq(got, 4, 1e-12) {
-		t.Errorf("CycleLength(square) = %g, want 4", got)
-	}
-	if got := CycleLength([]Point{Pt(2, 2)}); got != 0 {
-		t.Errorf("CycleLength(1 pt) = %g", got)
-	}
-}
-
-func TestCycleAtLeastPath(t *testing.T) {
-	f := func(coords []int16) bool {
-		pts := make([]Point, 0, len(coords)/2)
-		for i := 0; i+1 < len(coords); i += 2 {
-			pts = append(pts, Pt(float64(coords[i]), float64(coords[i+1])))
-		}
-		return CycleLength(pts) >= PathLength(pts)-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if got := Centroid(pts); got != Pt(1, 1) {
-		t.Errorf("Centroid = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Centroid(empty) should panic")
-		}
-	}()
-	Centroid(nil)
 }
 
 func TestNearestIndex(t *testing.T) {

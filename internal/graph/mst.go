@@ -1,7 +1,7 @@
 // Package graph implements the graph algorithms underlying the charger
 // scheduling library: minimum spanning trees on dense metric spaces
-// (Prim), on explicit edge lists (Kruskal), Euler circuits on multigraphs
-// (Hierholzer), and small utilities shared by them.
+// (Prim), Euler circuits on multigraphs (Hierholzer) with the shortcut
+// pass that turns them into tours, and the union-find of the Borůvka MSF.
 //
 // The q-rooted MSF of the paper (its Algorithm 1) reduces to a single MST
 // on a depot-contracted graph; both the contraction and the MST live here
@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/metric"
 )
@@ -28,18 +27,6 @@ type Edge struct {
 type Tree struct {
 	Parent []int
 	Weight float64
-}
-
-// Edges returns the tree's edge list (child, parent) for every non-root
-// vertex, in vertex order.
-func (t Tree) Edges(sp metric.Space) []Edge {
-	var out []Edge
-	for v, p := range t.Parent {
-		if p >= 0 {
-			out = append(out, Edge{U: v, V: p, W: sp.Dist(v, p)})
-		}
-	}
-	return out
 }
 
 // PrimMST computes a minimum spanning tree of the complete graph induced
@@ -104,76 +91,4 @@ func PrimMST(sp metric.Space, root int) Tree {
 		}
 	}
 	return Tree{Parent: parent, Weight: total}
-}
-
-// KruskalMSF computes a minimum spanning forest of the (possibly sparse,
-// possibly disconnected) graph with n vertices and the given edges. It
-// returns the chosen edges and their total weight. Ties are broken by the
-// input order after a stable sort by weight, so results are deterministic.
-func KruskalMSF(n int, edges []Edge) ([]Edge, float64) {
-	sorted := append([]Edge(nil), edges...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].W < sorted[b].W })
-	uf := NewUnionFind(n)
-	var out []Edge
-	var total float64
-	for _, e := range sorted {
-		if uf.Union(e.U, e.V) {
-			out = append(out, e)
-			total += e.W
-			if len(out) == n-1 {
-				break
-			}
-		}
-	}
-	return out, total
-}
-
-// AdjacencyList converts an edge list over n vertices into an adjacency
-// list. Each undirected edge appears in both endpoint lists.
-func AdjacencyList(n int, edges []Edge) [][]int {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	return adj
-}
-
-// TreeAdjacency converts a parent-array tree into an adjacency list.
-func TreeAdjacency(parent []int) [][]int {
-	adj := make([][]int, len(parent))
-	for v, p := range parent {
-		if p >= 0 {
-			adj[v] = append(adj[v], p)
-			adj[p] = append(adj[p], v)
-		}
-	}
-	return adj
-}
-
-// Components returns the connected components of the graph over n
-// vertices with the given edges, as a slice of vertex slices, each sorted,
-// ordered by smallest vertex.
-func Components(n int, edges []Edge) [][]int {
-	uf := NewUnionFind(n)
-	for _, e := range edges {
-		uf.Union(e.U, e.V)
-	}
-	byRoot := make(map[int][]int)
-	for v := 0; v < n; v++ {
-		r := uf.Find(v)
-		byRoot[r] = append(byRoot[r], v)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		comp := byRoot[r]
-		sort.Ints(comp)
-		out = append(out, comp)
-	}
-	return out
 }

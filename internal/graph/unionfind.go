@@ -1,29 +1,22 @@
 package graph
 
 // UnionFind is a disjoint-set forest with union by rank and path
-// compression, used by Kruskal's algorithm and by connectivity checks in
-// the test suite. Operations run in effectively O(α(n)) amortized time.
-// Elements are int32 internally — the serve-layer index budget caps
-// every ambient space well below MaxInt32, and the narrower parent
-// array is 5 bytes/element instead of 9 in the million-sensor MSF
-// arenas — but the API stays int like every other index in the repo.
+// compression, used by rooted's Borůvka MSF. Operations run in
+// effectively O(α(n)) amortized time. Elements are int32 internally —
+// the serve-layer index budget caps every ambient space well below
+// MaxInt32, and the narrower parent array is 5 bytes/element instead of
+// 9 in the million-sensor MSF arenas — but the API stays int like every
+// other index in the repo.
 type UnionFind struct {
 	parent []int32
 	rank   []uint8
 	sets   int
 }
 
-// NewUnionFind returns a UnionFind over n singleton sets {0}, ..., {n-1}.
-func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{}
-	u.Reset(n)
-	return u
-}
-
-// Reset reinitializes u to n singleton sets, reusing its backing arrays
-// when they are large enough — the arena form of NewUnionFind, for
-// callers (the Borůvka MSF pool) that run union-find after union-find
-// over same-order inputs.
+// Reset reinitializes u to n singleton sets {0}, ..., {n-1}, reusing its
+// backing arrays when they are large enough, for callers (the Borůvka MSF
+// pool) that run union-find after union-find over same-order inputs. The
+// zero UnionFind is empty until Reset.
 func (u *UnionFind) Reset(n int) {
 	if cap(u.parent) >= n {
 		u.parent = u.parent[:n]

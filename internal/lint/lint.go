@@ -135,14 +135,6 @@ func (a *Analyzer) files(p *Package) []*ast.File {
 	return out
 }
 
-// Run applies every analyzer to every package it covers, drops
-// suppressed findings, and returns the rest sorted by position. It runs
-// with no package policy; the production driver uses RunWithPolicy and
-// DefaultPolicy.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return RunWithPolicy(pkgs, analyzers, nil)
-}
-
 // RunWithPolicy is Run with package-level grants applied: a package the
 // policy exempts from a check is skipped for that check entirely,
 // before per-line //lint:allow processing. A nil policy grants nothing.

@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// Run applies every analyzer to every package it covers, drops
+// suppressed findings, and returns the rest sorted by position. It runs
+// with no package policy; cmd/lint uses RunWithPolicy and DefaultPolicy.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	return RunWithPolicy(pkgs, analyzers, nil)
+}
+
 // TestFixtureFindings loads the seeded testdata packages and requires
 // the suite to report exactly the sites marked "// want:<check>" — no
 // misses, no extras, and every //lint:allow-annotated line silent.

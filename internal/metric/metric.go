@@ -175,27 +175,6 @@ func MaterializeInto(sp Space, dst *Dense) {
 	}
 }
 
-// CheckTriangle verifies the triangle inequality on sp up to tolerance
-// eps, returning a descriptive error for the first violation found. It is
-// O(n^3) and intended for tests.
-//
-//lint:allow hotdist test-only O(n³) validation, never on a planning path
-//lint:allow hotalloc test-only validation: allocates only to report a violation
-func CheckTriangle(sp Space, eps float64) error {
-	n := sp.Len()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				if sp.Dist(i, j) > sp.Dist(i, k)+sp.Dist(k, j)+eps {
-					return fmt.Errorf("metric: triangle violated: d(%d,%d)=%g > d(%d,%d)+d(%d,%d)=%g",
-						i, j, sp.Dist(i, j), i, k, k, j, sp.Dist(i, k)+sp.Dist(k, j))
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Closure returns the metric closure of the possibly non-metric matrix d:
 // all-pairs shortest paths via Floyd–Warshall. The input is not modified.
 // Tests use it to turn arbitrary random symmetric matrices into valid

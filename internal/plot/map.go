@@ -10,28 +10,18 @@ import (
 	"repro/internal/wsn"
 )
 
-// MapOptions style a deployment map.
-type MapOptions struct {
-	// WidthPx is the rendered width in pixels; height follows the
-	// field's aspect ratio. 0 means 700.
-	WidthPx int
-	Title   string
-}
-
 // WriteMap renders the network — and optionally one round of charging
 // tours — as a standalone SVG: sensors as dots coloured by charging
 // cycle (red = short cycle = hungry, blue = long cycle), the base
 // station as a black square, depots as triangles, and each tour as a
-// coloured closed polyline from its depot.
-func WriteMap(w io.Writer, nw *wsn.Network, tours []rooted.Tour, opt MapOptions) error {
+// coloured closed polyline from its depot. The map is 700 px wide, its
+// height follows the field's aspect ratio, and a non-empty title is
+// drawn at the top.
+func WriteMap(w io.Writer, nw *wsn.Network, tours []rooted.Tour, title string) error {
 	if nw.N() == 0 {
 		return fmt.Errorf("plot: map of empty network")
 	}
-	widthPx := opt.WidthPx
-	if widthPx == 0 {
-		widthPx = 700
-	}
-	const margin = 24.0
+	const widthPx, margin = 700, 24.0
 	fw, fh := nw.Field.Width(), nw.Field.Height()
 	if fw <= 0 || fh <= 0 {
 		return fmt.Errorf("plot: degenerate field %gx%g", fw, fh)
@@ -59,9 +49,9 @@ func WriteMap(w io.Writer, nw *wsn.Network, tours []rooted.Tour, opt MapOptions)
 	sb.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 	fmt.Fprintf(&sb, `<rect x="%g" y="%g" width="%g" height="%g" fill="none" stroke="#888"/>`+"\n",
 		sx(nw.Field.Min.X), sy(nw.Field.Max.Y), fw*scale, fh*scale)
-	if opt.Title != "" {
+	if title != "" {
 		fmt.Fprintf(&sb, `<text x="%d" y="16" font-family="sans-serif" font-size="13" text-anchor="middle">%s</text>`+"\n",
-			widthPx/2, escape(opt.Title))
+			widthPx/2, escape(title))
 	}
 
 	// Tours under the markers.

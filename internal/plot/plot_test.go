@@ -178,7 +178,7 @@ func TestWriteMap(t *testing.T) {
 	}
 	sol := rooted.Tours(metric.Materialize(nw.Space()), nw.DepotIndices(), nw.SensorIndices(), rooted.Options{})
 	var buf bytes.Buffer
-	if err := WriteMap(&buf, nw, sol.Tours, MapOptions{Title: "map"}); err != nil {
+	if err := WriteMap(&buf, nw, sol.Tours, "map"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -194,7 +194,7 @@ func TestWriteMap(t *testing.T) {
 	if strings.Count(out, "<polyline") == 0 {
 		t.Error("no tour polylines")
 	}
-	if err := WriteMap(&buf, &wsn.Network{}, nil, MapOptions{}); err == nil {
+	if err := WriteMap(&buf, &wsn.Network{}, nil, ""); err == nil {
 		t.Error("empty network accepted")
 	}
 }

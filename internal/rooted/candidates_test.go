@@ -73,10 +73,10 @@ func TestRefineWithNeighborsMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestCheapestInsertionMatchesScan pins tsp.InsertionPoint (used by the
+// TestInsertionPointMatchesScan pins tsp.InsertionPoint (used by the
 // balance relocation search) with candidate lists to its plain linear
 // scan, across list sizes and tour subsets.
-func TestCheapestInsertionMatchesScan(t *testing.T) {
+func TestInsertionPointMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(127))
 	d := metric.Materialize(randomSpace(r, 120))
 	sc := tsp.NewScratch()

@@ -24,9 +24,6 @@ type Options struct {
 	// preserved. Used by the tour-construction ablation.
 	// MethodClusterFirst always refines its routes.
 	Refine bool
-	// MaxRefineRounds bounds local-search sweeps; 0 means a default of
-	// 8, negative means until convergence.
-	MaxRefineRounds int
 	// Neighbors optionally supplies candidate lists built from the same
 	// Dense space the solver runs on (metric.Dense.NearestLists);
 	// refinement and balancing then use the exact candidate-list sweeps
@@ -51,12 +48,8 @@ type Options struct {
 	Workers int
 }
 
-func (o Options) refineRounds() int {
-	if o.MaxRefineRounds == 0 {
-		return 8
-	}
-	return o.MaxRefineRounds
-}
+// refineRounds bounds the local-search sweeps of each refined tour.
+const refineRounds = 8
 
 // refine runs the 2-opt + Or-opt polish on one tour, through the
 // candidate-list sweeps when lists are available, and credits the time
@@ -67,18 +60,17 @@ func (o Options) refine(sp metric.Space, tour []int) []int {
 	if o.RefineNs != nil {
 		t0 = time.Now() //lint:allow walltime RefineNs diagnostic timing, never feeds results
 	}
-	rounds := o.refineRounds()
 	if d, ok := metric.AsDense(sp); ok && o.Neighbors != nil {
-		tour, _ = tsp.TwoOptLists(d, o.Neighbors, tour, rounds, o.Scratch)
-		tour, _ = tsp.OrOptLists(d, o.Neighbors, tour, rounds, o.Scratch)
+		tour, _ = tsp.TwoOptLists(d, o.Neighbors, tour, refineRounds, o.Scratch)
+		tour, _ = tsp.OrOptLists(d, o.Neighbors, tour, refineRounds, o.Scratch)
 	} else if g, ok := metric.AsGrid(sp); ok {
 		// On-grid candidate-list sweeps: no per-tour flatten, no length
 		// ceiling — every tour is refined, even at n=1M where the former
 		// gridRefineCap skip would have left long tours construction-only.
-		tour = tsp.RefineTourGrid(g, tour, rounds, o.Scratch)
+		tour = tsp.RefineTourGrid(g, tour, refineRounds, o.Scratch)
 	} else {
-		tour, _ = tsp.TwoOpt(sp, tour, rounds)
-		tour, _ = tsp.OrOpt(sp, tour, rounds)
+		tour, _ = tsp.TwoOpt(sp, tour, refineRounds)
+		tour, _ = tsp.OrOpt(sp, tour, refineRounds)
 	}
 	if o.RefineNs != nil {
 		atomic.AddInt64(o.RefineNs, int64(time.Since(t0))) //lint:allow walltime RefineNs diagnostic timing, never feeds results

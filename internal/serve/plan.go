@@ -73,16 +73,8 @@ type planStats struct {
 	refineNs int64
 }
 
-// Plan executes the request's algorithm on its topology, without any
-// pool, cache or scratch reuse — the one-shot reference path. The
-// worker-pool path (Server.Submit) returns byte-identical encodings of
-// the same response; TestServeDeterminism pins that.
-func Plan(req *PlanRequest) (*PlanResponse, error) {
-	resp, _, err := planInto(req, nil)
-	return resp, err
-}
-
-// planInto is Plan with an optional per-worker scratch arena.
+// planInto executes the request's algorithm on its topology, reusing
+// the per-worker scratch arena ws (nil allocates privately).
 func planInto(req *PlanRequest, ws *experiment.Scratch) (*PlanResponse, planStats, error) {
 	var st planStats
 	net := req.Network()

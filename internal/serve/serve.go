@@ -208,7 +208,8 @@ func (s *Server) Uptime() time.Duration { return time.Since(s.start) }
 // layer and the worker pool, honouring ctx's deadline while the job is
 // queued (a started plan runs to completion and is cached for the next
 // caller even if this one gives up). The returned Result.Body is
-// byte-identical to Plan(req) followed by Encode.
+// byte-identical to a one-shot, scratch-free plan of req followed by
+// Encode.
 func (s *Server) Submit(ctx context.Context, req *PlanRequest) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		s.countCtxErr(err)

@@ -15,6 +15,15 @@ import (
 	"repro/internal/wsn"
 )
 
+// Plan executes the request's algorithm on its topology, without any
+// pool, cache or scratch reuse — the one-shot reference path. The
+// worker-pool path (Server.Submit) must return byte-identical encodings
+// of the same response; TestServeDeterminism pins that.
+func Plan(req *PlanRequest) (*PlanResponse, error) {
+	resp, _, err := planInto(req, nil)
+	return resp, err
+}
+
 // testNetwork generates a deterministic paper-style topology.
 func testNetwork(t testing.TB, n, q int, seed uint64) *wsn.Network {
 	t.Helper()

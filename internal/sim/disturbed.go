@@ -14,6 +14,11 @@ import (
 	"repro/internal/wsn"
 )
 
+// nearMissFrac is the fraction of τ_i treated as safety margin for
+// near-miss accounting: a gap in ((1−nearMissFrac)·τ_i, τ_i] is a near
+// miss.
+const nearMissFrac = 0.1
+
 // Disturbed configures a disturbed simulation run on top of a Config.
 type Disturbed struct {
 	// Model is the disturbance realization; nil means disturb.None.
@@ -22,10 +27,6 @@ type Disturbed struct {
 	// required positive: under disturbance travel takes real time, and
 	// a leg's duration is dist/Speed times the model's travel factor.
 	Speed float64
-	// NearMissFrac is the fraction of τ_i treated as safety margin for
-	// near-miss accounting: a gap in ((1−NearMissFrac)·τ_i, τ_i] is a
-	// near miss. 0 defaults to 0.1.
-	NearMissFrac float64
 	// Obs, if non-nil, receives robustness counters
 	// (robust_gap_violations_total, robust_deaths_total, ...) at the
 	// end of the run.
@@ -102,13 +103,6 @@ func runDisturbed(net *wsn.Network, model energy.Model, policy Policy, cfg Confi
 	if d.Speed <= 0 || math.IsInf(d.Speed, 0) || math.IsNaN(d.Speed) {
 		return Result{}, fmt.Errorf("sim: Disturbed.Speed must be positive and finite, got %g", d.Speed)
 	}
-	nearMiss := d.NearMissFrac
-	if nearMiss == 0 {
-		nearMiss = 0.1
-	}
-	if nearMiss < 0 || nearMiss >= 1 {
-		return Result{}, fmt.Errorf("sim: Disturbed.NearMissFrac must be in [0, 1), got %g", d.NearMissFrac)
-	}
 	sc := d.Scratch
 	if sc == nil {
 		sc = &Scratch{}
@@ -177,7 +171,7 @@ func runDisturbed(net *wsn.Network, model energy.Model, policy Policy, cfg Confi
 		}
 		if gap > cycles[i]*(1+eps) {
 			res.GapViolations++
-		} else if gap > cycles[i]*(1-nearMiss) {
+		} else if gap > cycles[i]*(1-nearMissFrac) {
 			res.NearMisses++
 		}
 		lastCharge[i] = t

@@ -41,13 +41,6 @@ import (
 type Redispatch struct {
 	// Inner is the base policy being hardened.
 	Inner Policy
-	// Rooted configures the rescue-tour construction.
-	Rooted rooted.Options
-	// Margin is the deadline-pressure safety margin in time units; 0
-	// defaults to 1.5 decision epochs (one epoch of reaction latency
-	// plus half an epoch of travel slop).
-	Margin float64
-
 	// Redispatches counts epochs at which at least one rescue tour was
 	// dispatched.
 	Redispatches int
@@ -57,16 +50,20 @@ type Redispatch struct {
 	// into an already-dispatched tour instead of a dedicated rescue.
 	Inserted int
 
-	est NextChargeEstimator
-	rnd NextRoundEstimator
-	ins inserter
+	// margin is the deadline-pressure safety margin in time units: 1.5
+	// decision epochs (one epoch of reaction latency plus half an epoch
+	// of travel slop), set by Init.
+	margin float64
+	est    NextChargeEstimator
+	rnd    NextRoundEstimator
+	ins    inserter
 }
 
 // Name implements Policy.
 func (r *Redispatch) Name() string { return fmt.Sprintf("redispatch(%s)", r.Inner.Name()) }
 
-// Init implements Policy: it initializes the inner policy and applies
-// the margin default.
+// Init implements Policy: it initializes the inner policy and sets the
+// margin from the run's decision epoch.
 func (r *Redispatch) Init(env *Env) error {
 	if r.Inner == nil {
 		return fmt.Errorf("sim: Redispatch needs an inner policy")
@@ -74,9 +71,7 @@ func (r *Redispatch) Init(env *Env) error {
 	if err := r.Inner.Init(env); err != nil {
 		return err
 	}
-	if r.Margin == 0 {
-		r.Margin = 1.5 * env.Dt
-	}
+	r.margin = 1.5 * env.Dt
 	r.est, _ = r.Inner.(NextChargeEstimator)
 	r.rnd, _ = r.Inner.(NextRoundEstimator)
 	r.Redispatches = 0
@@ -288,7 +283,7 @@ func (r *Redispatch) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 				continue
 			}
 			life := env.ResidualLife(i)
-			if life >= wait+r.Margin {
+			if life >= wait+r.margin {
 				if safe != nil {
 					safe[i], keyRate[i] = r.pressureHorizon(env, i, t, wait, life)
 				}
@@ -302,7 +297,7 @@ func (r *Redispatch) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 			// so don't pay for a top-up now.
 			if r.rnd != nil {
 				gap := math.Min(r.rnd.NextRound(t), env.T) - t
-				if life >= gap+r.Margin {
+				if life >= gap+r.margin {
 					continue
 				}
 			}
@@ -321,7 +316,7 @@ func (r *Redispatch) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 			// chronically pressured sensor — one whose full-battery
 			// lifetime is shorter than its schedule interval — would be
 			// re-rescued every epoch.
-			if life < env.Dt+r.Margin {
+			if life < env.Dt+r.margin {
 				rescue[i] = true
 				urgent = true
 			} else {
@@ -349,7 +344,7 @@ func (r *Redispatch) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 		need = append(need, s)
 	}
 	sort.Ints(need)
-	sol := rooted.Tours(env.Space, env.ActiveDepots(), need, r.Rooted)
+	sol := rooted.Tours(env.Space, env.ActiveDepots(), need, rooted.Options{})
 	added := false
 	for _, tour := range sol.Tours {
 		if len(tour.Stops) == 0 {
@@ -367,7 +362,7 @@ func (r *Redispatch) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 
 // pressureHorizon derives sensor i's depletion key after a passed
 // pressure test at epoch t: the latest instant su ≤ t + wait up to
-// which `life ≥ wait + Margin` provably keeps holding, assuming only
+// which `life ≥ wait + margin` provably keeps holding, assuming only
 // that the predicted rate does not rise above its current value p.
 //
 // Within [t, su): the true drain rate is exactly the current one (su is
@@ -375,7 +370,7 @@ func (r *Redispatch) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 // charge is unchanged (su is capped at t + wait, and a realized charge
 // can only raise the residual), so residual(t') ≥ residual(t) −
 // trueRate·(t'−t) and wait(t') = wait − (t'−t). The slack
-// life − wait − Margin (in predicted-lifetime units) then shrinks at
+// life − wait − margin (in predicted-lifetime units) then shrinks at
 // rate trueRate/p − 1; when that is positive the horizon is the slack's
 // crossing time, pulled one epoch earlier to absorb FP rounding.
 func (r *Redispatch) pressureHorizon(env *Env, i int, t, wait, life float64) (su, p float64) {
@@ -389,7 +384,7 @@ func (r *Redispatch) pressureHorizon(env *Env, i int, t, wait, life float64) (su
 	// rolls over to the following round) is ever skipped.
 	su = math.Min(until, t+wait-0.5*env.Dt)
 	if sigma := trueRate/p - 1; sigma > 0 {
-		if cross := t + (life-wait-r.Margin)/sigma - env.Dt; cross < su {
+		if cross := t + (life-wait-r.margin)/sigma - env.Dt; cross < su {
 			su = cross
 		}
 	}

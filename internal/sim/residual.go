@@ -39,8 +39,8 @@ type residEngine struct {
 	slot  float64 // energy-model slot length (+Inf for Fixed)
 	dslot float64 // disturbance RateStep (+Inf for None)
 
-	// val is the committed residual at time upTo; it aliases
-	// Env.Residual so the benign accessors keep working.
+	// val is the committed residual at time upTo; it aliases the
+	// Env's residual slice, which Env.Residual reads through peek.
 	val  []float64
 	upTo []float64
 	dead []bool
@@ -50,13 +50,13 @@ type residEngine struct {
 }
 
 func newResidEngine(env *Env, dm disturb.Model, sc *Scratch, res *Result) *residEngine {
-	n := len(env.Residual)
+	n := len(env.residual)
 	re := &sc.eng
 	re.model = env.Model
 	re.dm = dm
 	re.slot = env.Model.SlotLength()
 	re.dslot = dm.RateStep()
-	re.val = env.Residual
+	re.val = env.residual
 	re.upTo = growF64(&sc.upTo, n)
 	re.dead = growBool(&sc.engDead, n)
 	re.caps = growF64(&sc.caps, n)

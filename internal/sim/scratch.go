@@ -26,7 +26,6 @@ type Scratch struct {
 	residual   []float64
 	lastCharge []float64
 	rates      []float64 // batch rate-factor buffer
-	deadB      []bool    // benign Run's dead set
 
 	pts  []geom.Point
 	grid *metric.Grid

@@ -61,13 +61,14 @@ type Env struct {
 	Model  energy.Model
 	T, Dt  float64
 
-	// Residual is each sensor's current residual energy.
-	Residual []float64
 	// Pred is the EWMA rate predictor, updated every epoch.
 	Pred *energy.EWMA
 
-	outages []Outage
-	now     float64
+	// residual is each sensor's stored residual energy; read it through
+	// Residual, which is exact under every runner.
+	residual []float64
+	outages  []Outage
+	now      float64
 	// requeued holds sensors stranded since the previous decision epoch
 	// — stops of tours a charger breakdown interrupted or a dropped
 	// dispatch never served. Populated by RunDisturbed only; cleared
@@ -75,9 +76,9 @@ type Env struct {
 	requeued []int
 
 	// eng, when non-nil, is the lazy residual integrator the disturbed
-	// runners install: Residual entries are then only valid at each
+	// runners install: residual entries are then only valid at each
 	// sensor's own commit time and every read must go through the
-	// engine (ResidualLife does).
+	// engine (Residual does).
 	eng *residEngine
 	// lazyInspect is true under the event-driven runner only; policies
 	// with an O(events)-compatible fast path (Redispatch's pressure
@@ -108,14 +109,20 @@ func (e *Env) PredCycle(i int) float64 {
 	return e.Net.Sensors[i].Capacity / e.Pred.Predict(i)
 }
 
+// Residual returns sensor i's residual energy at the current time.
+// Under the disturbed runners it reads through the lazy residual engine,
+// which integrates the uncommitted tail without storing it, so looking
+// never changes the run.
+func (e *Env) Residual(i int) float64 {
+	if e.eng != nil {
+		return e.eng.peek(i, e.now)
+	}
+	return e.residual[i]
+}
+
 // ResidualLife returns the predicted residual lifetime of sensor i,
 // l̂_i = residual energy / ρ̂_i.
-func (e *Env) ResidualLife(i int) float64 {
-	if e.eng != nil {
-		return e.eng.peek(i, e.now) / e.Pred.Predict(i)
-	}
-	return e.Residual[i] / e.Pred.Predict(i)
-}
+func (e *Env) ResidualLife(i int) float64 { return e.Residual(i) / e.Pred.Predict(i) }
 
 // trueRateInfo reports sensor i's true consumption rate at the current
 // instant and the first merged rate-grid boundary after it — the span
@@ -286,9 +293,9 @@ func Run(net *wsn.Network, model energy.Model, policy Policy, cfg Config) (Resul
 				if id < 0 || id >= net.N() {
 					return Result{}, badSensorErr(policy.Name(), id)
 				}
-				res.EnergyDelivered += net.Sensors[id].Capacity - env.Residual[id]
+				res.EnergyDelivered += net.Sensors[id].Capacity - env.residual[id]
 				res.Charges++
-				env.Residual[id] = net.Sensors[id].Capacity
+				env.residual[id] = net.Sensors[id].Capacity
 				dead[id] = false
 			}
 		}
@@ -338,13 +345,13 @@ func newEnv(net *wsn.Network, model energy.Model, cfg Config, sc *Scratch) (*Env
 		Model:    model,
 		T:        cfg.T,
 		Dt:       dt,
-		Residual: growF64(&sc.residual, net.N()),
+		residual: growF64(&sc.residual, net.N()),
 		Pred:     pred,
 		outages:  cfg.Outages,
 		sc:       sc,
 	}
 	for i, s := range net.Sensors {
-		env.Residual[i] = s.Capacity
+		env.residual[i] = s.Capacity
 	}
 	return env, nil
 }
@@ -423,16 +430,16 @@ func consume(env *Env, a, b float64, dead []bool, res *Result) {
 			}
 		}
 		span := next - cur
-		for i := range env.Residual {
+		for i := range env.residual {
 			if dead[i] {
 				continue
 			}
-			env.Residual[i] -= env.Model.Rate(i, cur) * span
+			env.residual[i] -= env.Model.Rate(i, cur) * span
 			// Reaching exactly zero at an instant the charger arrives
 			// is fine (the paper's schedules are tight at equality);
 			// death means the sensor *needed* energy it did not have.
-			if env.Residual[i] < -1e-9*env.Net.Sensors[i].Capacity {
-				env.Residual[i] = 0
+			if env.residual[i] < -1e-9*env.Net.Sensors[i].Capacity {
+				env.residual[i] = 0
 				dead[i] = true
 				res.Deaths++
 				if res.FirstDeath < 0 {
@@ -440,8 +447,8 @@ func consume(env *Env, a, b float64, dead []bool, res *Result) {
 					// report the interval end, good enough for stats.
 					res.FirstDeath = next
 				}
-			} else if env.Residual[i] < 0 {
-				env.Residual[i] = 0
+			} else if env.residual[i] < 0 {
+				env.residual[i] = 0
 			}
 		}
 		cur = next

@@ -191,7 +191,7 @@ func (p *envProbe) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 		if math.Abs(env.PredCycle(i)-env.Net.Sensors[i].Cycle) > 1e-9 {
 			p.err = fmt.Errorf("PredCycle(%d) = %g", i, env.PredCycle(i))
 		}
-		wantLife := env.Residual[i] / rate
+		wantLife := env.Residual(i) / rate
 		if math.Abs(env.ResidualLife(i)-wantLife) > 1e-9 {
 			p.err = fmt.Errorf("ResidualLife(%d) = %g, want %g", i, env.ResidualLife(i), wantLife)
 		}
@@ -242,7 +242,7 @@ func (*residualRecorder) Name() string    { return "rec" }
 func (*residualRecorder) Init(*Env) error { return nil }
 func (r *residualRecorder) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 	if t == r.probeAt { //lint:allow floateq probe fires on the exact slot-grid time
-		r.value = env.Residual[0]
+		r.value = env.Residual(0)
 	}
 	return nil, nil
 }
@@ -302,7 +302,7 @@ func (l *lateCharger) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 	if t == l.at { //lint:allow floateq charger fires on the exact slot-grid time
 		return []rooted.Tour{{Depot: env.Depots[0], Stops: []int{0}}}, nil
 	}
-	if t > l.at && env.Residual[0] > 0 {
+	if t > l.at && env.Residual(0) > 0 {
 		l.aliveAfter = true
 	}
 	return nil, nil

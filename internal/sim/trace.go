@@ -53,8 +53,8 @@ func (tr *Tracer) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 	}
 	pt := TracePoint{Time: t, MinResidualFrac: math.Inf(1)}
 	var sum float64
-	for i, e := range env.Residual {
-		frac := e / env.Net.Sensors[i].Capacity
+	for i, sn := range env.Net.Sensors {
+		frac := env.Residual(i) / sn.Capacity
 		sum += frac
 		pt.MinResidualFrac = math.Min(pt.MinResidualFrac, frac)
 	}

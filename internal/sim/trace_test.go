@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/wsn"
 )
 
 func TestTracerRecordsEveryEpoch(t *testing.T) {
@@ -69,6 +71,47 @@ func TestTracerSeesStarvation(t *testing.T) {
 	}
 	if math.Abs(margin) > 1e-9 {
 		t.Errorf("starved network margin = %g, want 0", margin)
+	}
+}
+
+// TestTracerSeesStarvationDisturbed is TestTracerSeesStarvation under
+// the disturbed runners, whose lazy residual engine commits stored
+// residuals only at rate-grid boundaries and touches: the tracer must
+// read residuals through the engine, and observing them must not change
+// the run's outcome.
+func TestTracerSeesStarvationDisturbed(t *testing.T) {
+	nw := testNet(t, 3)
+	cfg := Config{T: 50, Dt: 1}
+	for _, r := range []struct {
+		name string
+		run  func(*wsn.Network, energy.Model, Policy, Config, Disturbed) (Result, error)
+	}{{"event", RunDisturbed}, {"reference", RunDisturbedReference}} {
+		name := r.name
+		run := func(p Policy) (Result, error) {
+			return r.run(nw, energy.NewFixed(nw), p, cfg, Disturbed{Speed: 1e9})
+		}
+		plain, err := run(nullPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTracer(nullPolicy{})
+		traced, err := run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Deaths != nw.N() {
+			t.Fatalf("%s: %d deaths, want all %d sensors starved", name, plain.Deaths, nw.N())
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s: tracing changed the result:\n plain %+v\ntraced %+v", name, plain, traced)
+		}
+		margin, err := tr.MinSafetyMargin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(margin) > 1e-9 {
+			t.Errorf("%s: starved network margin = %g, want 0", name, margin)
+		}
 	}
 }
 

@@ -131,94 +131,3 @@ func TestSummarize(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
-
-func TestPairedTTestBasics(t *testing.T) {
-	a := []float64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
-	b := []float64{12, 13, 14, 15, 16, 17, 18, 19, 20, 21} // a - b = -2 exactly
-	res, err := PairedTTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanDiff != -2 {
-		t.Errorf("mean diff = %g", res.MeanDiff)
-	}
-	// Constant difference: sd = 0, infinitely strong evidence.
-	if !math.IsInf(res.T, -1) || res.P != 0 {
-		t.Errorf("constant-diff test: T=%g P=%g", res.T, res.P)
-	}
-
-	// Identical samples: P = 1.
-	res, err = PairedTTest(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 1 || res.T != 0 {
-		t.Errorf("identical samples: T=%g P=%g", res.T, res.P)
-	}
-}
-
-func TestPairedTTestNoisyButClear(t *testing.T) {
-	// a is below b by ~5 with noise +-1: strongly significant.
-	var a, b []float64
-	for i := 0; i < 40; i++ {
-		noise := float64(i%3) - 1
-		a = append(a, 100+noise)
-		b = append(b, 105-noise)
-	}
-	less, res, err := SignificantlyLess(a, b, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !less {
-		t.Errorf("clear difference not significant: T=%g P=%g", res.T, res.P)
-	}
-	if res.P > 1e-6 {
-		t.Errorf("p-value suspiciously large: %g", res.P)
-	}
-}
-
-func TestPairedTTestNullCase(t *testing.T) {
-	// Symmetric noise around equality: should NOT be significant.
-	var a, b []float64
-	for i := 0; i < 60; i++ {
-		d := float64(i%5) - 2
-		a = append(a, 50+d)
-		b = append(b, 50-d)
-	}
-	// mean(a-b) = mean(2d) = 0 over the pattern
-	res, err := PairedTTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P < 0.2 {
-		t.Errorf("null case declared significant: T=%g P=%g", res.T, res.P)
-	}
-}
-
-func TestPairedTTestErrors(t *testing.T) {
-	if _, err := PairedTTest([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := PairedTTest([]float64{1}, []float64{2}); err == nil {
-		t.Error("single pair accepted")
-	}
-}
-
-func TestTwoSidedTPMonotone(t *testing.T) {
-	prev := 1.0
-	for _, tv := range []float64{0, 0.5, 1, 2, 3, 5} {
-		p := twoSidedTP(tv, 99)
-		if p > prev+1e-12 {
-			t.Fatalf("p not decreasing at t=%g", tv)
-		}
-		prev = p
-	}
-	// Known value: t=1.96, df large => p ~ 0.05.
-	if p := twoSidedTP(1.96, 1000); math.Abs(p-0.05) > 0.005 {
-		t.Errorf("p(1.96) = %g, want ~0.05", p)
-	}
-	// Small-df path is exercised and sane.
-	if p := twoSidedTP(2.5, 5); p < 0.02 || p > 0.15 {
-		t.Errorf("small-df p(2.5, df=5) = %g, want around 0.05-0.07", p)
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the Dense kernels of the local-search refiners,
-// which TwoOpt/OrOpt/SegmentExchange also run. Each is the plain
+// which TwoOpt/OrOpt also run. Each is the plain
 // first-improvement sweep — identical scan order, identical strict-<
 // tie-breaking, identical move application — that skips positions
 // which provably cannot host an improving move, so the final tour and
@@ -316,149 +316,6 @@ func OrOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds i
 		pos[v] = -1
 	}
 	return tour, moves
-}
-
-// SegmentExchangeLists is SegmentExchange with shared candidate lists;
-// same contracts as TwoOptLists.
-func SegmentExchangeLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
-	const eps = 1e-9
-	n := len(tour)
-	if n < 5 {
-		return tour, 0
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	pos := sc.positions(d.Len())
-	elen := sc.edges(n)
-	for idx, v := range tour {
-		pos[v] = int32(idx)
-		elen[idx] = d.Dist(v, tour[(idx+1)%n])
-	}
-	moves := 0
-	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
-		improved := false
-		for i := 0; i < n-3; i++ {
-			a := tour[i]
-			arow := d.Row(a)
-			for j := i + 1; j < n-2; j++ {
-				kStart := j + 1
-				full := nl == nil
-				for kStart < n {
-					b := tour[i+1]
-					dab := elen[i]
-					c, dv := tour[j], tour[j+1]
-					dcd := elen[j]
-					dad := arow[dv]
-					brow, crow := d.Row(b), d.Row(c)
-					if !full && (dab > nl.Radius(b) || dcd > nl.Radius(c)) {
-						full = true
-					}
-					var cand []int32
-					ci := 0
-					if !full {
-						cand = sc.gatherExchange(nl, pos, b, c, kStart, n, dab, dcd)
-					}
-					moved := false
-					for k := kStart; k < n; k++ {
-						if !full {
-							for ci < len(cand) && int(cand[ci]) < k {
-								ci++
-							}
-							// Exactness: delta = (d(a,d) - d(e,f)) +
-							// (d(e,b) - d(a,b)) + (d(c,f) - d(c,d)); an
-							// improving k makes some bracket negative.
-							// elen[k] = d(e,f) <= dad kills the first;
-							// the other two put e within dab of b or f
-							// within dcd of c — both marked.
-							if (ci == len(cand) || int(cand[ci]) != k) && elen[k] <= dad {
-								continue
-							}
-						}
-						if i == 0 && k == n-1 {
-							continue // wraps the whole tour
-						}
-						e := tour[k]
-						f := tour[(k+1)%n]
-						delta := dad + brow[e] + crow[f] - dab - dcd - elen[k]
-						if delta < -eps {
-							exchangeInPlace(d, sc, tour, pos, elen, i, j, k)
-							moves++
-							improved = true
-							// Positions and row anchors shifted; re-enter
-							// with fresh values, like the plain sweep's
-							// post-move refresh.
-							kStart = k + 1
-							moved = true
-							break
-						}
-					}
-					if !moved {
-						break
-					}
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	for _, v := range tour {
-		pos[v] = -1
-	}
-	return tour, moves
-}
-
-// gatherExchange marks the sorted k-positions whose segment-exchange
-// move against rows (i, j) could improve: positions of b's list
-// vertices within dab (they appear as e = tour[k]) and predecessors of
-// c's list vertices within dcd (they appear as f = tour[(k+1)%n]).
-func (sc *Scratch) gatherExchange(nl *metric.NearestLists, pos []int32, b, c, kStart, n int, dab, dcd float64) []int32 {
-	cand := sc.cand[:0]
-	ids, ds := nl.Neighbors(b)
-	for t := range ids {
-		if ds[t] >= dab {
-			break
-		}
-		if p := pos[ids[t]]; int(p) >= kStart {
-			cand = append(cand, p)
-		}
-	}
-	ids, ds = nl.Neighbors(c)
-	for t := range ids {
-		if ds[t] >= dcd {
-			break
-		}
-		if p := pos[ids[t]]; p >= 0 {
-			k := int(p) - 1
-			if k < 0 {
-				k = n - 1
-			}
-			if k >= kStart {
-				cand = append(cand, int32(k))
-			}
-		}
-	}
-	sortInt32(cand)
-	sc.cand = cand
-	return cand
-}
-
-// exchangeInPlace rewrites tour[i+1..k] as C + B (the segment-exchange
-// move) without allocating, then repairs pos and elen over the touched
-// range; positions outside [i, k] are unaffected.
-func exchangeInPlace(d metric.Dense, sc *Scratch, tour []int, pos []int32, elen []float64, i, j, k int) {
-	n := len(tour)
-	buf := sc.ints(k - i)
-	copy(buf[:k-j], tour[j+1:k+1])
-	copy(buf[k-j:], tour[i+1:j+1])
-	copy(tour[i+1:k+1], buf)
-	for l := i + 1; l <= k; l++ {
-		pos[tour[l]] = int32(l)
-	}
-	for l := i; l <= k; l++ {
-		elen[l] = d.Dist(tour[l], tour[(l+1)%n])
-	}
 }
 
 // InsertionPoint returns the position (1..len(verts)) at which

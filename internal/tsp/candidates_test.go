@@ -19,7 +19,6 @@ func refiners() []refiner {
 	return []refiner{
 		{"TwoOpt", TwoOptLists, func(d metric.Dense, tour []int, r int) ([]int, int) { return twoOpt(d, tour, r) }},
 		{"OrOpt", OrOptLists, func(d metric.Dense, tour []int, r int) ([]int, int) { return orOpt(d, tour, r) }},
-		{"SegmentExchange", SegmentExchangeLists, func(d metric.Dense, tour []int, r int) ([]int, int) { return segmentExchange(d, tour, r) }},
 	}
 }
 
@@ -60,9 +59,6 @@ func TestCandidateListsMatchFullSweep(t *testing.T) {
 			nl := listsFor(d, k)
 			for _, rounds := range []int{1, 3, -1} {
 				for _, rf := range refiners() {
-					if rf.name == "SegmentExchange" && n > 100 && rounds < 0 {
-						continue // O(n^3) until convergence: too slow for the matrix of cases
-					}
 					base := randomTour(r, n)
 					want := append([]int(nil), base...)
 					got := append([]int(nil), base...)
@@ -112,10 +108,10 @@ func TestCandidateListsSubsetTour(t *testing.T) {
 	}
 }
 
-// TestPublicEntriesAutoBuild checks that the public TwoOpt/OrOpt/
-// SegmentExchange return the full-sweep oracle's results on both sides
-// of the auto-build threshold, and on a non-Dense space, which they
-// flatten over the tour's vertices before refining on local indices.
+// TestPublicEntriesAutoBuild checks that the public TwoOpt/OrOpt return
+// the full-sweep oracle's results on both sides of the auto-build
+// threshold, and on a non-Dense space, which they flatten over the
+// tour's vertices before refining on local indices.
 func TestPublicEntriesAutoBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	type entry struct {
@@ -126,7 +122,6 @@ func TestPublicEntriesAutoBuild(t *testing.T) {
 	entries := []entry{
 		{"TwoOpt", TwoOpt, twoOpt[metric.Space]},
 		{"OrOpt", OrOpt, orOpt[metric.Space]},
-		{"SegmentExchange", SegmentExchange, segmentExchange[metric.Space]},
 	}
 	// Above the floor the tour spans the space; below it the tour is a
 	// subset, so the flattened local indices differ from the space's.
@@ -136,12 +131,8 @@ func TestPublicEntriesAutoBuild(t *testing.T) {
 		base := r.Perm(c.n)[:c.m]
 		for _, sp := range []metric.Space{d, eu} {
 			for _, e := range entries {
-				rounds := -1
-				if e.name == "SegmentExchange" {
-					rounds = 2
-				}
-				want, wantMoves := e.plain(sp, append([]int(nil), base...), rounds)
-				got, gotMoves := e.public(sp, append([]int(nil), base...), rounds)
+				want, wantMoves := e.plain(sp, append([]int(nil), base...), -1)
+				got, gotMoves := e.public(sp, append([]int(nil), base...), -1)
 				if gotMoves != wantMoves {
 					t.Fatalf("%s %T n=%d m=%d: %d moves via public entry, want %d",
 						e.name, sp, c.n, c.m, gotMoves, wantMoves)
@@ -157,7 +148,7 @@ func TestPublicEntriesAutoBuild(t *testing.T) {
 	}
 }
 
-// TestNearestListsSharedAcrossWorkers runs the three candidate-list
+// TestNearestListsSharedAcrossWorkers runs the two candidate-list
 // refiners concurrently against one shared NearestLists (and one shared
 // Dense), each goroutine with its own tour and Scratch — the sharing
 // contract the experiment sweep relies on. Run under -race this is the
@@ -175,7 +166,6 @@ func TestNearestListsSharedAcrossWorkers(t *testing.T) {
 		ref := append([]int(nil), tours[w]...)
 		ref, _ = twoOpt(d, ref, -1)
 		ref, _ = orOpt(d, ref, 2)
-		ref, _ = segmentExchange(d, ref, 1)
 		wants[w] = ref
 	}
 
@@ -188,7 +178,6 @@ func TestNearestListsSharedAcrossWorkers(t *testing.T) {
 			got := append([]int(nil), tours[w]...)
 			got, _ = TwoOptLists(d, nl, got, -1, sc)
 			got, _ = OrOptLists(d, nl, got, 2, sc)
-			got, _ = SegmentExchangeLists(d, nl, got, 1, sc)
 			tours[w] = got
 		}(w)
 	}

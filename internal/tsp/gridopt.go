@@ -252,8 +252,6 @@ func RefineTourGrid(g *metric.Grid, tour []int, maxRounds int, sc *Scratch) []in
 	local, _ = TwoOptGrid(cs, &sc.lists, local, maxRounds, sc)
 	local, _ = OrOptGrid(cs, &sc.lists, local, maxRounds, sc)
 	// Map the permuted local order back onto the caller's vertex ids.
-	// sc.buf is free here: only SegmentExchangeLists borrows it mid-
-	// sweep, and neither grid sweep runs it.
 	orig := sc.ints(m)
 	copy(orig, tour)
 	for i, li := range local {

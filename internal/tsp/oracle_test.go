@@ -5,9 +5,9 @@ import "repro/internal/metric"
 // The plain first-improvement sweeps below are the independent oracle the
 // equivalence suites hold the production kernels to: every position is
 // examined through metric.Space.Dist, with no candidate lists, no cached
-// edge lengths and no in-place bookkeeping. TwoOptLists, OrOptLists,
-// SegmentExchangeLists and the Grid kernels must make the same moves in
-// the same order and return the same tours, whatever lists they are given.
+// edge lengths and no in-place bookkeeping. TwoOptLists, OrOptLists and
+// the Grid kernels must make the same moves in the same order and return
+// the same tours, whatever lists they are given.
 
 func twoOpt[S metric.Space](sp S, tour []int, maxRounds int) ([]int, int) {
 	const eps = 1e-9
@@ -93,59 +93,4 @@ func orOpt[S metric.Space](sp S, tour []int, maxRounds int) ([]int, int) {
 		}
 	}
 	return tour, moves
-}
-
-func segmentExchange[S metric.Space](sp S, tour []int, maxRounds int) ([]int, int) {
-	const eps = 1e-9
-	n := len(tour)
-	moves := 0
-	if n < 5 {
-		return tour, 0
-	}
-	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
-		improved := false
-		for i := 0; i < n-3; i++ {
-			a, b := tour[i], tour[i+1]
-			dab := sp.Dist(a, b)
-			for j := i + 1; j < n-2; j++ {
-				c, d := tour[j], tour[j+1]
-				dcd := sp.Dist(c, d)
-				for k := j + 1; k < n; k++ {
-					e := tour[k]
-					f := tour[(k+1)%n]
-					if i == 0 && k == n-1 {
-						continue // wraps the whole tour
-					}
-					delta := sp.Dist(a, d) + sp.Dist(e, b) + sp.Dist(c, f) -
-						dab - dcd - sp.Dist(e, f)
-					if delta < -eps {
-						tour = exchangeSegments(tour, i, j, k)
-						moves++
-						improved = true
-						// Positions shifted; restart this i iteration
-						// with fresh values.
-						b = tour[i+1]
-						dab = sp.Dist(a, b)
-						c, d = tour[j], tour[j+1]
-						dcd = sp.Dist(c, d)
-					}
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return tour, moves
-}
-
-// exchangeSegments rebuilds the tour as A + C + B + rest where
-// A = tour[0..i], B = tour[i+1..j], C = tour[j+1..k].
-func exchangeSegments(tour []int, i, j, k int) []int {
-	out := make([]int, 0, len(tour))
-	out = append(out, tour[:i+1]...)
-	out = append(out, tour[j+1:k+1]...)
-	out = append(out, tour[i+1:j+1]...)
-	out = append(out, tour[k+1:]...)
-	return out
 }

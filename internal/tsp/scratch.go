@@ -3,8 +3,8 @@ package tsp
 import "repro/internal/metric"
 
 // Scratch is a reusable per-goroutine arena for the candidate-list
-// local-search sweeps (TwoOptLists, OrOptLists, SegmentExchangeLists)
-// and the on-grid refiners (RefineTourGrid). Passing the same Scratch
+// local-search sweeps (TwoOptLists, OrOptLists) and the on-grid
+// refiners (RefineTourGrid). Passing the same Scratch
 // across many calls — the experiment sweep worker loop refines
 // thousands of tours per cell — takes their steady-state allocation
 // rate to zero. A Scratch must not be shared between concurrent calls;
@@ -19,7 +19,7 @@ type Scratch struct {
 	elen []float64
 	// cand holds the sorted candidate positions of the current scan row.
 	cand []int32
-	// buf backs the in-place segment rotation of 3-opt moves.
+	// buf backs RefineTourGrid's map-back of the refined local order.
 	buf []int
 	// sub and lists back the per-tour grid sub-index and candidate
 	// lists of RefineTourGrid; local is its identity working tour.

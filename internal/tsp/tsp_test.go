@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,6 +20,73 @@ func randomSpace(r *rand.Rand, n int) metric.Euclidean {
 }
 
 func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
+
+// Validate checks that tour visits each of the vertices in want exactly
+// once (and nothing else). A nil want means "all vertices of sp".
+func Validate(sp metric.Space, tour []int, want []int) error {
+	if want == nil {
+		want = make([]int, sp.Len())
+		for i := range want {
+			want[i] = i
+		}
+	}
+	if len(tour) != len(want) {
+		return fmt.Errorf("tsp: tour has %d vertices, want %d", len(tour), len(want))
+	}
+	seen := make(map[int]bool, len(tour))
+	for _, v := range tour {
+		if v < 0 || v >= sp.Len() {
+			return fmt.Errorf("tsp: vertex %d out of range [0,%d)", v, sp.Len())
+		}
+		if seen[v] {
+			return fmt.Errorf("tsp: vertex %d visited twice", v)
+		}
+		seen[v] = true
+	}
+	for _, v := range want {
+		if !seen[v] {
+			return fmt.Errorf("tsp: vertex %d not visited", v)
+		}
+	}
+	return nil
+}
+
+// DoubleTree builds a closed tour from a spanning tree of sp by the
+// double-tree construction: double every tree edge, take an Euler circuit
+// from root, shortcut repeated vertices. Under the triangle inequality
+// the result costs at most twice the tree weight, hence at most twice the
+// optimal tour (Theorem 1 of the paper). The returned tour starts at root.
+// rooted.tourFromTree is the production path; this copy is the tests'
+// reference.
+func DoubleTree(sp metric.Space, tree graph.Tree, root int) []int {
+	// Doubling the tree edges makes every degree even, so an Euler
+	// circuit exists; the shortcut pass keeps first occurrences only.
+	var doubled []graph.Edge
+	for v, p := range tree.Parent {
+		if p >= 0 {
+			e := graph.Edge{U: v, V: p, W: sp.Dist(v, p)}
+			doubled = append(doubled, e, e)
+		}
+	}
+	walk, err := graph.EulerCircuit(len(tree.Parent), doubled, root)
+	if err != nil {
+		// A doubled spanning tree is always connected and even; an
+		// error here means the tree was malformed, which is a
+		// programming error, not an input condition.
+		panic("tsp: DoubleTree on malformed tree: " + err.Error())
+	}
+	return graph.Shortcut(walk)
+}
+
+// MSTTour computes a minimum spanning tree of sp rooted at root and
+// returns its double-tree tour: the end-to-end 2-approximate TSP used when
+// q = 1.
+func MSTTour(sp metric.Space, root int) []int {
+	if sp.Len() == 0 {
+		return nil
+	}
+	return DoubleTree(sp, graph.PrimMST(sp, root), root)
+}
 
 func TestCost(t *testing.T) {
 	sp := metric.NewEuclidean([]geom.Point{
@@ -63,9 +131,8 @@ func TestValidate(t *testing.T) {
 func TestConstructorsProduceValidTours(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	constructors := map[string]func(metric.Space, int) []int{
-		"MSTTour":           MSTTour,
-		"NearestNeighbor":   NearestNeighbor,
-		"CheapestInsertion": CheapestInsertion,
+		"MSTTour":         MSTTour,
+		"NearestNeighbor": NearestNeighbor,
 	}
 	for name, build := range constructors {
 		t.Run(name, func(t *testing.T) {
@@ -87,7 +154,7 @@ func TestConstructorsProduceValidTours(t *testing.T) {
 
 func TestConstructorsEmptySpace(t *testing.T) {
 	sp := metric.NewEuclidean(nil)
-	if MSTTour(sp, 0) != nil || NearestNeighbor(sp, 0) != nil || CheapestInsertion(sp, 0) != nil {
+	if MSTTour(sp, 0) != nil || NearestNeighbor(sp, 0) != nil {
 		t.Error("constructors on empty space should return nil")
 	}
 }
@@ -227,7 +294,7 @@ func TestOptimalTourAtLeastHullPerimeter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hull := geom.HullPerimeter(pts); opt < hull-1e-9 {
+		if hull := HullPerimeter(pts); opt < hull-1e-9 {
 			t.Fatalf("trial %d: optimum %g below hull perimeter %g", trial, opt, hull)
 		}
 	}

@@ -17,29 +17,11 @@ type GenConfig struct {
 	Q        int       // number of depots/chargers (required, > 0)
 	Field    geom.Rect // zero value means 1000 x 1000
 	Capacity float64   // battery capacity B_i; 0 means 1
-	// CapacityJitter in [0, 1) draws each battery capacity uniformly
-	// from [Capacity*(1-j), Capacity*(1+j)] — heterogeneous hardware.
-	// 0 means identical batteries (the paper's setting).
-	CapacityJitter float64
-	Dist           CycleDist // required
-	// SensorPlacement selects sensor siting; zero value is
-	// SensorUniform (the paper's setting).
-	SensorPlacement SensorPlacement
+	Dist     CycleDist // required
 	// DepotPlacement selects how depots are placed; the zero value is
 	// DepotBaseFirst (the paper's setup).
 	DepotPlacement DepotPlacement
 }
-
-// SensorPlacement selects a sensor siting strategy.
-type SensorPlacement int
-
-const (
-	// SensorUniform scatters sensors uniformly at random (the paper).
-	SensorUniform SensorPlacement = iota
-	// SensorGrid places sensors on a jittered regular grid, as in
-	// planned structural-monitoring deployments.
-	SensorGrid
-)
 
 // DepotPlacement selects a depot siting strategy.
 type DepotPlacement int
@@ -74,9 +56,6 @@ func (c GenConfig) withDefaults() (GenConfig, error) {
 	if c.Capacity < 0 {
 		return c, fmt.Errorf("wsn: GenConfig.Capacity must be positive, got %g", c.Capacity)
 	}
-	if c.CapacityJitter < 0 || c.CapacityJitter >= 1 {
-		return c, fmt.Errorf("wsn: GenConfig.CapacityJitter must be in [0,1), got %g", c.CapacityJitter)
-	}
 	return c, nil
 }
 
@@ -100,36 +79,12 @@ func Generate(r *rng.Source, cfg GenConfig) (*Network, error) {
 			r.Uniform(cfg.Field.Min.Y, cfg.Field.Max.Y),
 		)
 	}
-	sensorPos := func(i int) geom.Point {
-		if cfg.SensorPlacement == SensorUniform {
-			return uniformPoint()
-		}
-		// Jittered grid: cell centres of the smallest grid holding N,
-		// perturbed by up to a quarter cell.
-		cols := 1
-		for cols*cols < cfg.N {
-			cols++
-		}
-		rows := (cfg.N + cols - 1) / cols
-		cw := cfg.Field.Width() / float64(cols)
-		ch := cfg.Field.Height() / float64(rows)
-		cx := cfg.Field.Min.X + (float64(i%cols)+0.5)*cw
-		cy := cfg.Field.Min.Y + (float64(i/cols)+0.5)*ch
-		return cfg.Field.Clamp(geom.Pt(
-			cx+r.Uniform(-cw/4, cw/4),
-			cy+r.Uniform(-ch/4, ch/4),
-		))
-	}
 	for i := 0; i < cfg.N; i++ {
-		pos := sensorPos(i)
-		capac := cfg.Capacity
-		if cfg.CapacityJitter > 0 {
-			capac = r.Uniform(cfg.Capacity*(1-cfg.CapacityJitter), cfg.Capacity*(1+cfg.CapacityJitter))
-		}
+		pos := uniformPoint()
 		nw.Sensors = append(nw.Sensors, Sensor{
 			ID:       i,
 			Pos:      pos,
-			Capacity: capac,
+			Capacity: cfg.Capacity,
 			Cycle:    cfg.Dist.Sample(r, pos, nw.Base, cfg.Field),
 		})
 	}

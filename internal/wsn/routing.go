@@ -23,10 +23,6 @@ type RoutingModel struct {
 	// CommRange is the radio range in metres. Sensors farther than
 	// CommRange from every neighbour and the base are unreachable.
 	CommRange float64
-	// TxCost and RxCost weight a relayed unit of traffic: relaying
-	// costs RxCost+TxCost, originating costs TxCost. Zero values
-	// default to TxCost=1, RxCost=1.
-	TxCost, RxCost float64
 	// Aggregation in [0,1] scales relayed traffic: 1 means perfect
 	// aggregation (relays forward a constant stream regardless of
 	// descendants), 0 means none. Matches the paper's remark that a
@@ -60,13 +56,6 @@ const (
 func (m RoutingModel) DeriveRates(nw *Network) (*RoutingResult, error) {
 	if m.CommRange <= 0 {
 		return nil, fmt.Errorf("wsn: RoutingModel.CommRange must be positive, got %g", m.CommRange)
-	}
-	tx, rx := m.TxCost, m.RxCost
-	if tx == 0 {
-		tx = defaultUnitWeight
-	}
-	if rx == 0 {
-		rx = defaultUnitWeight
 	}
 	if m.Aggregation < 0 || m.Aggregation > 1 {
 		return nil, fmt.Errorf("wsn: RoutingModel.Aggregation must be in [0,1], got %g", m.Aggregation)
@@ -144,8 +133,10 @@ func (m RoutingModel) DeriveRates(nw *Network) (*RoutingResult, error) {
 			relayed[p] += res.Load[i] * (1 - m.Aggregation)
 		}
 	}
+	// Originating a unit costs one transmission; relaying one costs a
+	// reception plus a transmission.
 	for i := range res.Rate {
-		res.Rate[i] = tx*defaultUnitWeight + (tx+rx)*relayed[i]
+		res.Rate[i] = defaultUnitWeight + 2*relayed[i]
 	}
 	return res, nil
 }

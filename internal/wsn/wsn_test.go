@@ -289,55 +289,6 @@ func TestNetworkValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestGenerateCapacityJitter(t *testing.T) {
-	nw, err := Generate(rng.New(5), GenConfig{
-		N: 100, Q: 2, Dist: defaultLinear(), Capacity: 2, CapacityJitter: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range nw.Sensors {
-		lo = math.Min(lo, s.Capacity)
-		hi = math.Max(hi, s.Capacity)
-		if s.Capacity < 1 || s.Capacity > 3 {
-			t.Fatalf("capacity %g outside [1, 3]", s.Capacity)
-		}
-	}
-	if hi-lo < 0.5 {
-		t.Errorf("jitter too narrow: [%g, %g]", lo, hi)
-	}
-	if _, err := Generate(rng.New(5), GenConfig{N: 5, Q: 1, Dist: defaultLinear(), CapacityJitter: 1}); err == nil {
-		t.Error("jitter=1 accepted")
-	}
-}
-
-func TestGenerateSensorGrid(t *testing.T) {
-	nw, err := Generate(rng.New(7), GenConfig{
-		N: 90, Q: 2, Dist: defaultLinear(), SensorPlacement: SensorGrid,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Grid deployments have much more uniform nearest-neighbour
-	// distances than random ones: min NN distance should be well above
-	// the random deployment's typical minimum.
-	minNN := math.Inf(1)
-	for i, s := range nw.Sensors {
-		for j, u := range nw.Sensors {
-			if i != j {
-				minNN = math.Min(minNN, s.Pos.Dist(u.Pos))
-			}
-		}
-	}
-	if minNN < 20 {
-		t.Errorf("grid min NN distance %g suspiciously small", minNN)
-	}
-}
-
 func TestDistAccessors(t *testing.T) {
 	lin := defaultLinear()
 	if lin.Name() != "linear" || lin.Min() != 1 || lin.Max() != 50 { //lint:allow floateq accessors return stored constants

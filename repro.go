@@ -268,7 +268,7 @@ func FigureIDs() []string { return experiment.FigureIDs() }
 // WriteMap renders the network and a set of charging tours as a
 // standalone SVG deployment map.
 func WriteMap(w io.Writer, net *Network, tours []Tour, title string) error {
-	return plot.WriteMap(w, net, tours, plot.MapOptions{Title: title})
+	return plot.WriteMap(w, net, tours, title)
 }
 
 // WriteNetworkJSON serializes a network as versioned JSON.
