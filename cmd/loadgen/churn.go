@@ -16,6 +16,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/wsn"
 )
@@ -413,12 +414,11 @@ func reconstructRequest(base *wsn.Network, slots []slotRec, algo string, period 
 
 // churnGapsFeasible verifies the fetched patched plan against the
 // mirror, fully client-side: every live slot appears in a consistent
-// prefix D_c..D_K of the solutions, its charging period base^c·τ₁ fits
-// within its cycle, and the terminal gap to T does too (the paper's
-// Lemma 2 bound, base 2 — the only base this workload requests). Dead
-// slots must appear nowhere.
+// prefix D_c..D_K of the solutions, and sched.VerifyCadence accepts its
+// charging period base^c·τ₁ against its cycle, terminal gap to T
+// included (the paper's Lemma 2 bound, base 2 — the only base this
+// workload requests). Dead slots must appear nowhere.
 func churnGapsFeasible(view *serve.SessionPlanJSON, slots []slotRec) bool {
-	const eps = 1e-9
 	if view.Slots != len(slots) {
 		return false
 	}
@@ -467,12 +467,7 @@ func churnGapsFeasible(view *serve.SessionPlanJSON, slots []slotRec) bool {
 				return false
 			}
 		}
-		p := math.Pow(2, float64(c)) * view.Tau1
-		if p > slots[s].cycle*(1+eps) {
-			return false
-		}
-		last := math.Floor((view.T-eps)/p) * p
-		if view.T-last > slots[s].cycle*(1+eps) {
+		if sched.VerifyCadence(math.Pow(2, float64(c))*view.Tau1, slots[s].cycle, view.T) != nil {
 			return false
 		}
 	}

@@ -2,7 +2,7 @@
 // build tag. The algorithm packages guard their postconditions with
 //
 //	if check.Enabled {
-//		if err := check.Covers(...); err != nil { ... }
+//		if err := sol.Validate(sp, depots, sensors); err != nil { ... }
 //	}
 //
 // Enabled is a constant — true under -tags checks, false otherwise — so
@@ -10,52 +10,22 @@
 // invariants cost nothing; benchmarks are unaffected. `go test -tags
 // checks ./...` runs the whole suite with every invariant live.
 //
-// The validators themselves are compiled in both modes (they are plain
-// functions over slices) so they stay vetted and testable without the
-// tag. To keep the package importable from anywhere in the repo —
-// rooted, core, and sim all hook it — it depends on the standard
+// Each invariant's validator lives with the type it validates:
+// sched.Schedule.Verify and sched.VerifyCadence for gap feasibility,
+// rooted.Forest.Validate for the q-rooted forest,
+// rooted.Solution.Validate for round coverage, and delta.State.Verify
+// for a session's patched plan. This package keeps the switch plus the
+// two checks only sim.Run and sim.RunDisturbed need: Tour for the tours
+// a policy dispatches and Arrivals for a disturbed sortie's arrival
+// times. They are compiled in both modes so they stay vetted and
+// testable without the tag, and the package depends on the standard
 // library only.
 package check
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Covers verifies that got and want are equal as sets of sensor IDs and
-// that got holds no duplicates: a dispatched round must charge exactly
-// the classes it claims to cover, once each. what names the checked
-// object in the error.
-func Covers(what string, got, want []int) error {
-	seen := make(map[int]bool, len(got))
-	for _, v := range got {
-		if seen[v] {
-			return fmt.Errorf("check: %s visits sensor %d twice", what, v)
-		}
-		seen[v] = true
-	}
-	missing := make([]int, 0)
-	for _, v := range want {
-		if !seen[v] {
-			missing = append(missing, v)
-		}
-		delete(seen, v)
-	}
-	if len(missing) > 0 {
-		sort.Ints(missing)
-		return fmt.Errorf("check: %s misses %d sensor(s), first %d", what, len(missing), missing[0])
-	}
-	if len(seen) > 0 {
-		extra := make([]int, 0, len(seen))
-		for v := range seen {
-			extra = append(extra, v)
-		}
-		sort.Ints(extra)
-		return fmt.Errorf("check: %s visits %d sensor(s) outside its class set, first %d", what, len(extra), extra[0])
-	}
-	return nil
-}
 
 // Tour verifies the structural validity of one closed tour over a space
 // of n points: the depot and every stop index in [0, n), no repeated
@@ -77,71 +47,6 @@ func Tour(n, depot int, stops []int) error {
 			return fmt.Errorf("check: tour at depot %d visits stop %d twice", depot, s)
 		}
 		seen[s] = true
-	}
-	return nil
-}
-
-// Forest verifies the structure of a q-rooted spanning forest given as
-// a parent array: every depot is a root (parent -1), every sensor's
-// parent chain stays inside the sensor set and terminates at a depot
-// without cycles. Together with depots being roots this pins exactly
-// q = len(depots) tree components over depots ∪ sensors.
-func Forest(parent []int, depots, sensors []int) error {
-	isDepot := make(map[int]bool, len(depots))
-	for _, d := range depots {
-		if d < 0 || d >= len(parent) {
-			return fmt.Errorf("check: forest depot %d out of range [0,%d)", d, len(parent))
-		}
-		isDepot[d] = true
-		if parent[d] != -1 {
-			return fmt.Errorf("check: forest depot %d has parent %d, want -1 (root)", d, parent[d])
-		}
-	}
-	for _, s := range sensors {
-		v := s
-		for steps := 0; ; steps++ {
-			if steps > len(parent) {
-				return fmt.Errorf("check: forest has a parent cycle reachable from sensor %d", s)
-			}
-			if v < 0 || v >= len(parent) {
-				return fmt.Errorf("check: ancestor %d of sensor %d out of range [0,%d)", v, s, len(parent))
-			}
-			p := parent[v]
-			if p == -1 {
-				if !isDepot[v] {
-					return fmt.Errorf("check: sensor %d reaches root %d which is not a depot", s, v)
-				}
-				break
-			}
-			v = p
-		}
-	}
-	return nil
-}
-
-// Gaps verifies charging-schedule feasibility over the monitoring
-// period [0, T]: for every sensor i, consecutive charge times — with an
-// implicit full battery at time 0 and including the terminal gap up to
-// T — must be at most cycles[i]+eps apart, and chargeTimes[i] must be
-// sorted ascending. This is the paper's perpetual-operation condition.
-func Gaps(chargeTimes [][]float64, cycles []float64, T, eps float64) error {
-	if len(chargeTimes) != len(cycles) {
-		return fmt.Errorf("check: %d charge-time rows for %d cycles", len(chargeTimes), len(cycles))
-	}
-	for i, ts := range chargeTimes {
-		prev := 0.0
-		for _, t := range ts {
-			if t < prev {
-				return fmt.Errorf("check: sensor %d charge times unsorted at %g after %g", i, t, prev)
-			}
-			if t-prev > cycles[i]+eps {
-				return fmt.Errorf("check: sensor %d gap [%g,%g] exceeds cycle %g", i, prev, t, cycles[i])
-			}
-			prev = t
-		}
-		if T-prev > cycles[i]+eps {
-			return fmt.Errorf("check: sensor %d terminal gap [%g,%g] exceeds cycle %g", i, prev, T, cycles[i])
-		}
 	}
 	return nil
 }

@@ -15,18 +15,6 @@ func wantErr(t *testing.T, err error, frag string) {
 	}
 }
 
-func TestCovers(t *testing.T) {
-	if err := Covers("round", []int{2, 0, 1}, []int{0, 1, 2}); err != nil {
-		t.Errorf("set-equal cover rejected: %v", err)
-	}
-	if err := Covers("round", nil, nil); err != nil {
-		t.Errorf("empty cover rejected: %v", err)
-	}
-	wantErr(t, Covers("round", []int{0, 0}, []int{0}), "twice")
-	wantErr(t, Covers("round", []int{0}, []int{0, 3}), "misses")
-	wantErr(t, Covers("round", []int{0, 9}, []int{0}), "outside")
-}
-
 func TestTour(t *testing.T) {
 	if err := Tour(5, 4, []int{0, 2, 1}); err != nil {
 		t.Errorf("valid tour rejected: %v", err)
@@ -38,38 +26,4 @@ func TestTour(t *testing.T) {
 	wantErr(t, Tour(5, 4, []int{5}), "out of range")
 	wantErr(t, Tour(5, 4, []int{4}), "revisits its own depot")
 	wantErr(t, Tour(5, 4, []int{1, 1}), "twice")
-}
-
-func TestForest(t *testing.T) {
-	// Vertices 0..2 sensors, 3..4 depots: 0→3, 1→0, 2→4.
-	parent := []int{3, 0, 4, -1, -1}
-	if err := Forest(parent, []int{3, 4}, []int{0, 1, 2}); err != nil {
-		t.Errorf("valid forest rejected: %v", err)
-	}
-	wantErr(t, Forest([]int{-1}, []int{5}, nil), "out of range")
-	wantErr(t, Forest([]int{1, 0, -1}, []int{2}, []int{0, 1}), "cycle")
-	// Sensor rooted at a non-depot.
-	wantErr(t, Forest([]int{-1, 0, -1}, []int{2}, []int{1}), "not a depot")
-	// Depot with a parent.
-	wantErr(t, Forest([]int{1, -1}, []int{0, 1}, nil), "want -1")
-}
-
-func TestForestCycleOnDepotParent(t *testing.T) {
-	wantErr(t, Forest([]int{9, -1}, []int{1}, []int{0}), "out of range")
-}
-
-func TestGaps(t *testing.T) {
-	// Sensor 0: cycle 10, charges at 10, 20; T=25 — all gaps ≤ 10.
-	ok := [][]float64{{10, 20}}
-	if err := Gaps(ok, []float64{10}, 25, 1e-9); err != nil {
-		t.Errorf("feasible schedule rejected: %v", err)
-	}
-	// No charges at all is fine when T fits inside one cycle.
-	if err := Gaps([][]float64{nil}, []float64{10}, 10, 1e-9); err != nil {
-		t.Errorf("single-cycle horizon rejected: %v", err)
-	}
-	wantErr(t, Gaps([][]float64{{15}}, []float64{10}, 20, 1e-9), "gap")
-	wantErr(t, Gaps([][]float64{{5}}, []float64{10}, 20, 1e-9), "terminal gap")
-	wantErr(t, Gaps([][]float64{{20, 10}}, []float64{30}, 40, 1e-9), "unsorted")
-	wantErr(t, Gaps([][]float64{{1}}, []float64{1, 2}, 5, 1e-9), "rows")
 }

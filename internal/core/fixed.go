@@ -211,19 +211,10 @@ func PlanFixed(net *wsn.Network, T float64, opt FixedOptions) (*FixedPlan, error
 
 	if check.Enabled {
 		// Lemma 2's feasibility guarantee, verified against the actual
-		// (unrounded) cycles, terminal gap included.
-		if err := check.Gaps(plan.Schedule.ChargeTimes(net.N()), cycles, T, 1e-9); err != nil {
+		// (unrounded, slacked) cycles, terminal gap included. Each D_k's
+		// exact cover of V_0 ∪ … ∪ V_k is rooted.Tours' own postcondition.
+		if err := plan.Schedule.Verify(cycles, 1e-9); err != nil {
 			return nil, fmt.Errorf("core: PlanFixed feasibility: %w", err)
-		}
-		// Each prefix solution D_k must cover exactly V_0 ∪ … ∪ V_k.
-		for k := 0; k <= K; k++ {
-			var got []int
-			for _, t := range sols[k].Tours {
-				got = append(got, t.Stops...)
-			}
-			if err := check.Covers(fmt.Sprintf("prefix solution D_%d", k), got, prefixes[k]); err != nil {
-				return nil, fmt.Errorf("core: PlanFixed coverage: %w", err)
-			}
 		}
 	}
 	return plan, nil

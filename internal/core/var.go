@@ -406,8 +406,8 @@ func (v *Var) roundSolution(env *sim.Env, j int) (*rooted.Solution, error) {
 		members = append(members, p.patches[j]...)
 		sol := v.memoTours(env, p.depots, members)
 		if check.Enabled {
-			if err := check.Covers(fmt.Sprintf("patched round %d", j), tourStops(sol), members); err != nil {
-				return nil, fmt.Errorf("core: Var coverage: %w", err)
+			if err := sol.Validate(env.Space, p.depots, members); err != nil {
+				return nil, fmt.Errorf("core: Var patched round %d: %w", j, err)
 			}
 		}
 		p.patched[j] = sol
@@ -417,21 +417,12 @@ func (v *Var) roundSolution(env *sim.Env, j int) (*rooted.Solution, error) {
 	if p.sols[k] == nil {
 		p.sols[k] = v.memoTours(env, p.depots, p.prefix[k])
 		if check.Enabled {
-			if err := check.Covers(fmt.Sprintf("round class D_%d", k), tourStops(p.sols[k]), p.prefix[k]); err != nil {
-				return nil, fmt.Errorf("core: Var coverage: %w", err)
+			if err := p.sols[k].Validate(env.Space, p.depots, p.prefix[k]); err != nil {
+				return nil, fmt.Errorf("core: Var round class D_%d: %w", k, err)
 			}
 		}
 	}
 	return p.sols[k], nil
-}
-
-// tourStops flattens a solution's stop lists (checks-build helper).
-func tourStops(sol *rooted.Solution) []int {
-	var out []int
-	for _, t := range sol.Tours {
-		out = append(out, t.Stops...)
-	}
-	return out
 }
 
 // MemoStats returns the hit/miss counters of the cross-plan tour cache

@@ -278,10 +278,6 @@ func (st *State) Cfg() Config { return st.cfg }
 // N returns the number of live sensors.
 func (st *State) N() int { return st.nAlive }
 
-// Slots returns the slot-array length (live sensors plus holes); valid
-// slot ids are 0..Slots()-1.
-func (st *State) Slots() int { return len(st.sensors) }
-
 // Q returns the depot count.
 func (st *State) Q() int { return len(st.depots) }
 
@@ -326,14 +322,6 @@ func (st *State) Drift() float64 {
 // Fingerprint returns the order-independent wsn.Fingerprint of the live
 // deployment, maintained incrementally across deltas.
 func (st *State) Fingerprint() uint64 { return st.fp.Hash() }
-
-// Sensor returns the sensor in slot id and whether it is live.
-func (st *State) Sensor(id int) (wsn.Sensor, bool) {
-	if id < 0 || id >= len(st.sensors) {
-		return wsn.Sensor{}, false
-	}
-	return st.sensors[id], st.alive[id]
-}
 
 // liveCompact returns the live sensors renumbered 0..m-1 plus the map
 // from compact index back to slot id, in ascending slot order.

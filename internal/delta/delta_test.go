@@ -35,8 +35,8 @@ func newState(t testing.TB, net *wsn.Network, cfg Config) *State {
 // the from-scratch reference for fingerprint and replan comparisons.
 func liveNetwork(st *State, field geom.Rect, base geom.Point, depots []geom.Point) *wsn.Network {
 	out := &wsn.Network{Field: field, Base: base, Depots: depots}
-	for id := 0; id < st.Slots(); id++ {
-		if s, ok := st.Sensor(id); ok {
+	for id := 0; id < len(st.sensors); id++ {
+		if s := st.sensors[id]; st.alive[id] {
 			s.ID = len(out.Sensors)
 			out.Sensors = append(out.Sensors, s)
 		}
@@ -52,8 +52,8 @@ func churnBatch(r *rand.Rand, st *State, field geom.Rect, size int) []Op {
 	touched := map[int]bool{}
 	pickLive := func() int {
 		for tries := 0; tries < 200; tries++ {
-			id := r.Intn(st.Slots())
-			if _, ok := st.Sensor(id); ok && !touched[id] {
+			id := r.Intn(len(st.sensors))
+			if st.alive[id] && !touched[id] {
 				touched[id] = true
 				return id
 			}
@@ -246,7 +246,7 @@ func TestDeltaBatchAtomicity(t *testing.T) {
 	}
 	// A batch draining every sensor must be rejected too.
 	drain := make([]Op, 0, st.N())
-	for id := 0; id < st.Slots(); id++ {
+	for id := 0; id < len(st.sensors); id++ {
 		drain = append(drain, Op{Kind: OpLeave, ID: id})
 	}
 	if _, err := st.Apply(drain); err == nil {
@@ -257,7 +257,7 @@ func TestDeltaBatchAtomicity(t *testing.T) {
 	// net-zero membership.
 	res, err := st.Apply([]Op{
 		{Kind: OpJoin, X: 200, Y: 300, Cycle: 12},
-		{Kind: OpLeave, ID: st.Slots()}, // the slot the join above gets
+		{Kind: OpLeave, ID: len(st.sensors)}, // the slot the join above gets
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestDeltaBatchAtomicity(t *testing.T) {
 	if len(res.Joined) != 1 {
 		t.Fatalf("Joined = %v, want one slot", res.Joined)
 	}
-	if _, ok := st.Sensor(res.Joined[0]); ok {
+	if st.alive[res.Joined[0]] {
 		t.Fatal("slot joined and left in one batch is still live")
 	}
 	if st.Fingerprint() != fp {
@@ -293,7 +293,7 @@ func TestDeltaRateReclass(t *testing.T) {
 			t.Fatalf("mult %g: %v", mult, err)
 		}
 		v := st.View()
-		s, _ := st.Sensor(id)
+		s := st.sensors[id]
 		// Prefix membership: a sensor of class c appears in exactly the
 		// solutions D_c..D_K.
 		want := core.ClassIndex(s.Cycle, v.Tau1, 2)
@@ -358,8 +358,8 @@ func TestDeltaSnapshotReplayConverges(t *testing.T) {
 	if fresh.Fingerprint() != st.Fingerprint() {
 		t.Fatalf("replayed fingerprint %x, live %x", fresh.Fingerprint(), st.Fingerprint())
 	}
-	if fresh.N() != st.N() || fresh.Slots() != st.Slots() {
-		t.Fatalf("replayed shape (%d,%d), live (%d,%d)", fresh.N(), fresh.Slots(), st.N(), st.Slots())
+	if fresh.N() != st.N() || len(fresh.sensors) != len(st.sensors) {
+		t.Fatalf("replayed shape (%d,%d), live (%d,%d)", fresh.N(), len(fresh.sensors), st.N(), len(st.sensors))
 	}
 	if fresh.Replans() != st.Replans()+1 {
 		t.Fatalf("replayed Replans %d, want live+1 = %d", fresh.Replans(), st.Replans()+1)
@@ -397,19 +397,19 @@ func TestOpRing(t *testing.T) {
 	mk := func(id int) []Op { return []Op{{Kind: OpLeave, ID: id}} }
 	r.Append(mk(0))
 	r.Append(mk(1))
-	if r.Len() != 2 || r.Overflowed() {
-		t.Fatalf("Len=%d Overflowed=%v", r.Len(), r.Overflowed())
+	if r.n != 2 || r.Overflowed() {
+		t.Fatalf("n=%d Overflowed=%v", r.n, r.Overflowed())
 	}
 	r.Append(mk(2))
 	r.Append(mk(3)) // full: refused, flagged
-	if !r.Overflowed() || r.Len() != 3 {
-		t.Fatalf("after overflow: Len=%d Overflowed=%v", r.Len(), r.Overflowed())
+	if !r.Overflowed() || r.n != 3 {
+		t.Fatalf("after overflow: n=%d Overflowed=%v", r.n, r.Overflowed())
 	}
 	got := r.Drain()
 	if len(got) != 3 || got[0][0].ID != 0 || got[1][0].ID != 1 || got[2][0].ID != 2 {
 		t.Fatalf("Drain = %v", got)
 	}
-	if r.Len() != 0 || r.Overflowed() {
+	if r.n != 0 || r.Overflowed() {
 		t.Fatal("Drain did not reset the ring")
 	}
 	r.Append(mk(9))

@@ -33,8 +33,8 @@ func TestAsyncReconcileCostConsistency(t *testing.T) {
 	r := rng.New(5)
 	minCycle := func() float64 {
 		m := math.Inf(1)
-		for id := 0; id < st.Slots(); id++ {
-			if s, ok := st.Sensor(id); ok && s.Cycle < m {
+		for id := 0; id < len(st.sensors); id++ {
+			if s := st.sensors[id]; st.alive[id] && s.Cycle < m {
 				m = s.Cycle
 			}
 		}
@@ -45,8 +45,8 @@ func TestAsyncReconcileCostConsistency(t *testing.T) {
 		gone := map[int]bool{} // departed within this batch: no further ops on them
 		pickLive := func() (int, bool) {
 			for tries := 0; tries < 50; tries++ {
-				id := int(r.Uniform(0, float64(st.Slots())))
-				if _, ok := st.Sensor(id); ok && !gone[id] {
+				id := int(r.Uniform(0, float64(len(st.sensors))))
+				if st.alive[id] && !gone[id] {
 					return id, true
 				}
 			}
@@ -141,8 +141,8 @@ func TestAsyncReconcileCostConsistency(t *testing.T) {
 
 	// Sanity band against a fresh plan of the same live deployment.
 	live := make([]wsn.Sensor, 0, st.N())
-	for id := 0; id < st.Slots(); id++ {
-		if s, ok := st.Sensor(id); ok {
+	for id := 0; id < len(st.sensors); id++ {
+		if s := st.sensors[id]; st.alive[id] {
 			live = append(live, s)
 		}
 	}

@@ -41,9 +41,6 @@ func (r *OpRing) Append(batch []Op) {
 	r.n++
 }
 
-// Len returns the number of logged batches.
-func (r *OpRing) Len() int { return r.n }
-
 // Overflowed reports whether a batch was refused since the last Drain;
 // if so the drained log is incomplete and the reconciliation must be
 // discarded and retriggered.

@@ -3,6 +3,8 @@ package delta
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/sched"
 )
 
 // Verify checks the State's structural invariants from scratch — the
@@ -130,23 +132,12 @@ func (st *State) verifyCoverage(k, slot, count int) error {
 
 // verifyGaps checks gap feasibility for one live slot: class c is
 // charged at every round j with ord(j) >= c, i.e. every base^c·τ_1 time
-// units; that bound must not exceed the sensor's (unrounded) cycle, and
-// the terminal gap from the last such round to T must fit too. With the
-// dispatch grid dense in (0, T) both reduce to base^c·τ_1 <= cycle + eps
-// and the largest charge time being within cycle of T.
+// units inside (0, T), which sched.VerifyCadence decides in closed form
+// against the sensor's (unrounded) cycle, terminal gap to T included.
 func (st *State) verifyGaps(slot int) error {
-	cycle := st.sensors[slot].Cycle
-	c := float64(int(st.class[slot]))
-	period := math.Pow(st.base, c) * st.tau1
-	if period > cycle*(1+1e-9) {
-		return fmt.Errorf("delta: slot %d class %d period %g exceeds cycle %g", slot, st.class[slot], period, cycle)
-	}
-	// Last round charging this class at or below T: the largest
-	// multiple of period strictly inside (0, T). Its gap to T must
-	// also fit (terminal gap of Lemma 2).
-	last := period * math.Floor((st.cfg.T-1e-9)/period)
-	if last > 0 && st.cfg.T-last > cycle*(1+1e-9) {
-		return fmt.Errorf("delta: slot %d terminal gap %g exceeds cycle %g", slot, st.cfg.T-last, cycle)
+	period := math.Pow(st.base, float64(st.class[slot])) * st.tau1
+	if err := sched.VerifyCadence(period, st.sensors[slot].Cycle, st.cfg.T); err != nil {
+		return fmt.Errorf("delta: slot %d class %d: %w", slot, st.class[slot], err)
 	}
 	return nil
 }

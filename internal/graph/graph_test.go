@@ -65,10 +65,10 @@ func TestUnionFind(t *testing.T) {
 	if u.Sets() != 2 {
 		t.Errorf("sets = %d, want 2", u.Sets())
 	}
-	if !u.Connected(1, 2) {
+	if u.Find(1) != u.Find(2) {
 		t.Error("1 and 2 should be connected via chain")
 	}
-	if u.Connected(0, 4) {
+	if u.Find(0) == u.Find(4) {
 		t.Error("4 should be isolated")
 	}
 }

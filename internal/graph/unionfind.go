@@ -59,8 +59,5 @@ func (u *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Connected reports whether x and y are in the same set.
-func (u *UnionFind) Connected(x, y int) bool { return u.Find(x) == u.Find(y) }
-
 // Sets returns the current number of disjoint sets.
 func (u *UnionFind) Sets() int { return u.sets }

@@ -52,9 +52,6 @@ func NewLoader(root string, tags []string) (*Loader, error) {
 	}, nil
 }
 
-// Module returns the module path the loader resolves against.
-func (l *Loader) Module() string { return l.module }
-
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {

@@ -31,13 +31,6 @@ func (m Dense) Dist(i, j int) float64 { return m.d[i*m.n+j] }
 // per-element access is a plain slice index.
 func (m Dense) Row(i int) []float64 { return m.d[i*m.n : (i+1)*m.n : (i+1)*m.n] }
 
-// Set records d(i,j) = d(j,i) = v. It is a building-phase helper; the
-// sharing contract above makes mutation after publication a caller bug.
-func (m Dense) Set(i, j int, v float64) {
-	m.d[i*m.n+j] = v
-	m.d[j*m.n+i] = v
-}
-
 // AsDense reports the Dense underlying sp, unwrapping a pointer if
 // needed. Hot paths call it once at entry to select their devirtualized
 // loop; a false return means "stay on the generic interface path".

@@ -81,7 +81,7 @@ func TestDenseSymmetryAndDiagonal(t *testing.T) {
 // a copy, so the sweep can hand one matrix to every algorithm for free.
 func TestMaterializeShortCircuits(t *testing.T) {
 	d := NewDense(3)
-	d.Set(0, 1, 7)
+	d.d[1], d.d[3] = 7, 7 // d(0,1) = d(1,0)
 	m := Materialize(d)
 	if &m.d[0] != &d.d[0] {
 		t.Error("Materialize(Dense) copied the backing array")

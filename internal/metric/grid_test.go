@@ -13,11 +13,11 @@ import (
 // lists: same dimensions, same ids, bit-identical distances.
 func listsEqual(t *testing.T, a, b *NearestLists, label string) {
 	t.Helper()
-	if a.Len() != b.Len() || a.K() != b.K() || a.Complete() != b.Complete() {
+	if a.n != b.n || a.k != b.k || a.complete != b.complete {
 		t.Fatalf("%s: shape mismatch: (%d,%d,%v) vs (%d,%d,%v)",
-			label, a.Len(), a.K(), a.Complete(), b.Len(), b.K(), b.Complete())
+			label, a.n, a.k, a.complete, b.n, b.k, b.complete)
 	}
-	for v := 0; v < a.Len(); v++ {
+	for v := 0; v < a.n; v++ {
 		aids, ads := a.Neighbors(v)
 		bids, bds := b.Neighbors(v)
 		for i := range aids {

@@ -110,17 +110,6 @@ func (nl *NearestLists) Build(m Dense, k int) {
 	}
 }
 
-// Len returns the number of vertices the lists cover.
-func (nl *NearestLists) Len() int { return nl.n }
-
-// K returns the per-vertex list width (clamped at build time).
-func (nl *NearestLists) K() int { return nl.k }
-
-// Complete reports whether every list holds all other vertices
-// (k >= n-1), in which case every Radius is +Inf and the pruned sweeps
-// never fall back to full scans.
-func (nl *NearestLists) Complete() bool { return nl.complete }
-
 // Neighbors returns vertex v's candidate list: parallel slices of
 // neighbor ids and distances, sorted ascending by (distance, id). The
 // slices alias the shared structure and must not be modified.

@@ -54,11 +54,11 @@ func TestNearestListsMatchBruteForce(t *testing.T) {
 			if wantK < 0 {
 				wantK = 0
 			}
-			if nl.K() != wantK {
-				t.Fatalf("n=%d k=%d: K() = %d, want %d", n, k, nl.K(), wantK)
+			if nl.k != wantK {
+				t.Fatalf("n=%d k=%d: k = %d, want %d", n, k, nl.k, wantK)
 			}
-			if nl.Complete() != (wantK >= n-1) {
-				t.Fatalf("n=%d k=%d: Complete() = %v", n, k, nl.Complete())
+			if nl.complete != (wantK >= n-1) {
+				t.Fatalf("n=%d k=%d: complete = %v", n, k, nl.complete)
 			}
 			for v := 0; v < n; v++ {
 				gotIDs, gotDs := nl.Neighbors(v)
@@ -84,7 +84,8 @@ func TestNearestListsTies(t *testing.T) {
 	d := NewDense(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d.Set(i, j, float64((i+j)%3)+1)
+			d.d[i*n+j] = float64((i+j)%3) + 1
+			d.d[j*n+i] = d.d[i*n+j]
 		}
 	}
 	nl := d.NearestLists(4)

@@ -29,6 +29,3 @@ func (m *MemGauge) Update() {
 	runtime.ReadMemStats(&ms)
 	m.g.Set(int64(ms.HeapInuse))
 }
-
-// Value returns the last sampled heap-in-use bytes.
-func (m *MemGauge) Value() int64 { return m.g.Value() }

@@ -1,10 +1,9 @@
 // Package obs is the repo's stdlib-only observability layer: a metrics
 // registry (counters, gauges, single-label counter vectors, fixed-bucket
-// histograms) with a deterministic Prometheus-compatible text exposition,
-// plus lightweight trace spans (trace.go) that wrap the planners' phase
-// timings. It exists so the serving layer (internal/serve, cmd/chargerd)
-// can be measured in production without adding a dependency; everything
-// here is sync/atomic over plain structs.
+// histograms) with a deterministic Prometheus-compatible text
+// exposition. It exists so the serving layer (internal/serve,
+// cmd/chargerd) can be measured in production without adding a
+// dependency; everything here is sync/atomic over plain structs.
 //
 // All metric mutators are safe for concurrent use and never allocate in
 // steady state; WriteText takes a snapshot that is deterministic up to

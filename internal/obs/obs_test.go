@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func approx(t *testing.T, name string, got, want, tol float64) {
@@ -107,33 +106,6 @@ func TestMetricsConcurrent(t *testing.T) {
 	if got := v.Value("a"); got != workers*per {
 		t.Errorf("vec counter = %d, want %d", got, workers*per)
 	}
-}
-
-func TestTracerSpans(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg, "chargerd")
-	sp := tr.Start("plan")
-	sp.Phase("refine", 3*time.Millisecond)
-	d := sp.End()
-	if d < 0 {
-		t.Errorf("span duration negative: %v", d)
-	}
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE chargerd_plan_seconds histogram",
-		"# TYPE chargerd_plan_refine_seconds histogram",
-		"chargerd_plan_seconds_count 1",
-		"chargerd_plan_refine_seconds_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-	approx(t, "refine phase sum", tr.hist("plan_refine_seconds").Sum(), 0.003, 1e-9)
 }
 
 func TestPercentiles(t *testing.T) {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -72,6 +73,42 @@ func TestScheduleRoundTripPreservesCostAndFeasibility(t *testing.T) {
 	}
 	if err := got.Verify(nw.Cycles(), 1e-6); err != nil {
 		t.Errorf("deserialized schedule infeasible: %v", err)
+	}
+}
+
+// TestScheduleRoundTripUnknownSensor pins that a schedule read back
+// from JSON, whose reader checks no stop ids, still fails Verify when a
+// stop names a sensor the network does not have.
+func TestScheduleRoundTripUnknownSensor(t *testing.T) {
+	// Two sensors of cycle 30 over T = 50, charged at 20 and 40.
+	const doc = `{"version":1,"t":50,"rounds":[
+	  {"time":20,"tours":[{"depot":2,"stops":[0,1],"cost":1}]},
+	  {"time":40,"tours":[{"depot":2,"stops":[1,%s,0],"cost":1}]}]}`
+	cycles := []float64{30, 30}
+	for _, stop := range []string{"-1", "2", "99"} {
+		var buf bytes.Buffer
+		s, err := ReadSchedule(strings.NewReader(fmt.Sprintf(doc, stop)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSchedule(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSchedule(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Verify(cycles, 1e-9); err == nil {
+			t.Errorf("schedule charging sensor %s of 2 verified as feasible", stop)
+		}
+	}
+	// The same schedule without the unknown stop is feasible.
+	s, err := ReadSchedule(strings.NewReader(strings.Replace(doc, "%s,", "", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(cycles, 1e-9); err != nil {
+		t.Errorf("feasible schedule rejected: %v", err)
 	}
 }
 

@@ -107,9 +107,9 @@ func (f Forest) treeFrom(off, kids []int32, depot int) (members []int, lparent [
 }
 
 // Validate checks the structural invariants of f against the given depot
-// and sensor sets: every depot is a root, every sensor has a parent chain
-// terminating at exactly one depot, no cycles, and Weight matches the sum
-// of parent edges under sp.
+// and sensor sets: every depot is a point of sp and a root, every sensor
+// has a parent chain terminating at exactly one depot, no cycles, and
+// Weight matches the sum of parent edges under sp.
 //
 //lint:allow hotdist validation path, one Dist per sensor, off the hot path
 func (f Forest) Validate(sp metric.Space, depots, sensors []int) error {
@@ -118,6 +118,9 @@ func (f Forest) Validate(sp metric.Space, depots, sensors []int) error {
 	}
 	isDepot := make(map[int]bool, len(depots))
 	for _, d := range depots {
+		if d < 0 || d >= len(f.Parent) {
+			return depotRangeErr(d, len(f.Parent))
+		}
 		isDepot[d] = true
 		if f.Parent[d] != -1 {
 			return fmt.Errorf("rooted: depot %d has parent %d, want -1", d, f.Parent[d])
@@ -149,6 +152,12 @@ func (f Forest) Validate(sp metric.Space, depots, sensors []int) error {
 		return fmt.Errorf("rooted: recorded weight %g != recomputed %g", f.Weight, weight)
 	}
 	return nil
+}
+
+// depotRangeErr keeps Validate's out-of-space depot error construction
+// out of its per-depot loop.
+func depotRangeErr(depot, n int) error {
+	return fmt.Errorf("rooted: depot %d out of range [0,%d)", depot, n)
 }
 
 // MSF computes an exact minimum q-rooted spanning forest of the sensors
@@ -283,9 +292,6 @@ func msf(sp metric.Space, depots, sensors []int, workers int) Forest {
 	}
 	f := Forest{Parent: parent, Depots: append([]int(nil), depots...), Weight: mst.Weight}
 	if check.Enabled {
-		if err := check.Forest(f.Parent, depots, sensors); err != nil {
-			panic("rooted: MSF postcondition: " + err.Error())
-		}
 		if err := f.Validate(sp, depots, sensors); err != nil {
 			panic("rooted: MSF postcondition: " + err.Error())
 		}

@@ -270,6 +270,16 @@ func TestForestValidateCatchesCorruption(t *testing.T) {
 	if err := bad3.Validate(sp, depots, sensors); err == nil {
 		t.Error("non-root depot accepted")
 	}
+
+	bad4 := MSF(sp, depots, sensors)
+	bad4.Parent[3] = -1 // sensor 3 roots its own tree
+	wantErr(t, bad4.Validate(sp, depots, sensors), "not a depot")
+
+	for _, p := range []int{sp.Len(), 99, NotInForest} {
+		bad5 := MSF(sp, depots, sensors)
+		bad5.Parent[5] = p // an ancestor outside the forest
+		wantErr(t, bad5.Validate(sp, depots, sensors), "invalid ancestor")
+	}
 }
 
 func TestTreeOfUnknownDepot(t *testing.T) {

@@ -131,11 +131,6 @@ func Tours(sp metric.Space, depots, sensors []int, opt Options) Solution {
 		sol = ToursFromForest(sp, f, opt)
 	}
 	if check.Enabled {
-		for _, t := range sol.Tours {
-			if err := check.Tour(sp.Len(), t.Depot, t.Stops); err != nil {
-				panic("rooted: Tours postcondition: " + err.Error())
-			}
-		}
 		if err := sol.Validate(sp, depots, sensors); err != nil {
 			panic("rooted: Tours postcondition: " + err.Error())
 		}
@@ -251,8 +246,9 @@ func tourFromTree(sp metric.Space, members []int, lparent []int32, depot int, op
 }
 
 // Validate checks that sol covers exactly the requested sensors, that
-// each tour is rooted at a distinct requested depot, that no sensor is
-// visited twice across tours, and that recorded costs match sp.
+// each tour is rooted at a distinct requested depot, that every stop is
+// a point of sp, that no sensor is visited twice across tours, and that
+// recorded costs match sp.
 func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 	if len(s.Tours) != len(depots) {
 		return fmt.Errorf("rooted: %d tours for %d depots", len(s.Tours), len(depots))
@@ -268,6 +264,9 @@ func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 		}
 		delete(wantDepot, t.Depot)
 		for _, v := range t.Stops {
+			if v < 0 || v >= sp.Len() {
+				return stopRangeErr(t.Depot, v, sp.Len())
+			}
 			if visited[v] {
 				return fmt.Errorf("rooted: sensor %d visited by two tours", v)
 			}
@@ -289,6 +288,12 @@ func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 		return fmt.Errorf("rooted: tours visit %d sensors, want %d", len(visited), len(sensors))
 	}
 	return nil
+}
+
+// stopRangeErr keeps Validate's out-of-space error construction out of
+// its per-stop loop.
+func stopRangeErr(depot, stop, n int) error {
+	return fmt.Errorf("rooted: tour at depot %d has stop %d out of range [0,%d)", depot, stop, n)
 }
 
 func abs(x float64) float64 {

@@ -3,6 +3,7 @@ package rooted
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/metric"
@@ -171,6 +172,39 @@ func TestSolutionValidateCatchesProblems(t *testing.T) {
 
 	if err := sol.Validate(sp, depots, sensors[:3]); err == nil {
 		t.Error("extra covered sensors beyond requested set accepted")
+	}
+
+	part := Tours(sp, depots, sensors[:5], Options{})
+	wantErr(t, part.Validate(sp, depots, sensors), "not covered")
+
+	if empty := Tours(sp, depots, nil, Options{}); empty.Validate(sp, depots, nil) != nil {
+		t.Error("empty cover of no sensors rejected")
+	}
+
+	twice := withStops(sol, 0, func(stops []int) []int { return append(stops, stops[0]) })
+	wantErr(t, twice.Validate(sp, depots, sensors), "visited by two tours")
+
+	for _, v := range []int{-1, sp.Len(), 99} {
+		outside := withStops(sol, 1, func(stops []int) []int { return append(stops, v) })
+		wantErr(t, outside.Validate(sp, depots, sensors), "out of range")
+	}
+}
+
+// withStops copies sol with tour ti's stops rewritten by edit. The
+// recorded cost is kept: Validate checks a tour's stops before its cost.
+func withStops(sol Solution, ti int, edit func([]int) []int) Solution {
+	out := Solution{Tours: append([]Tour(nil), sol.Tours...), ForestWeight: sol.ForestWeight}
+	out.Tours[ti].Stops = edit(append([]int(nil), sol.Tours[ti].Stops...))
+	return out
+}
+
+func wantErr(t *testing.T, err error, frag string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("error containing %q, got nil", frag)
+	}
+	if !strings.Contains(err.Error(), frag) {
+		t.Fatalf("error %q does not mention %q", err, frag)
 	}
 }
 

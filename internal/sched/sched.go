@@ -91,33 +91,62 @@ func (s *Schedule) ChargeTimes(n int) [][]float64 {
 // Verify checks feasibility of s against fixed maximum charging cycles:
 // every sensor i must be charged with gaps of at most cycles[i], counting
 // the initial full charge at time 0 and the tail gap to T. It also checks
-// that rounds are time-ordered within [0, T). eps absorbs floating-point
-// slack in gap comparisons.
+// that rounds are time-ordered within (0, T) and that every stop is a
+// sensor of the network, an id in [0, len(cycles)). eps absorbs
+// floating-point slack in gap comparisons.
+//
+// It is one pass over the rounds: they must come in time order, so each
+// sensor's charges arrive sorted and only its last charge time is kept.
 func (s *Schedule) Verify(cycles []float64, eps float64) error {
-	last := math.Inf(-1)
+	last := make([]float64, len(cycles)) // full charge at deployment
+	prev := math.Inf(-1)
 	for j, r := range s.Rounds {
 		if r.Time <= 0 || r.Time >= s.T {
 			return fmt.Errorf("sched: round %d dispatched at %g outside (0, %g)", j, r.Time, s.T)
 		}
-		if r.Time < last {
-			return fmt.Errorf("sched: round %d at time %g before previous round at %g", j, r.Time, last)
+		if r.Time < prev {
+			return fmt.Errorf("sched: round %d at time %g before previous round at %g", j, r.Time, prev)
 		}
-		last = r.Time
-	}
-	times := s.ChargeTimes(len(cycles))
-	for i, tc := range times {
-		prev := 0.0 // full charge at deployment
-		for _, t := range tc {
-			if gap := t - prev; gap > cycles[i]+eps {
-				return fmt.Errorf("sched: sensor %d gap %g > cycle %g (charge at %g after %g)",
-					i, gap, cycles[i], t, prev)
+		prev = r.Time
+		for _, t := range r.Tours {
+			for _, i := range t.Stops {
+				if i < 0 || i >= len(cycles) {
+					return fmt.Errorf("sched: round %d charges sensor %d, network has %d", j, i, len(cycles))
+				}
+				if gap := r.Time - last[i]; gap > cycles[i]+eps {
+					return fmt.Errorf("sched: sensor %d gap %g > cycle %g (charge at %g after %g)",
+						i, gap, cycles[i], r.Time, last[i])
+				}
+				last[i] = r.Time
 			}
-			prev = t
 		}
-		if gap := s.T - prev; gap > cycles[i]+eps {
+	}
+	for i, t := range last {
+		if gap := s.T - t; gap > cycles[i]+eps {
 			return fmt.Errorf("sched: sensor %d tail gap %g > cycle %g (last charge at %g, T=%g)",
-				i, gap, cycles[i], prev, s.T)
+				i, gap, cycles[i], t, s.T)
 		}
+	}
+	return nil
+}
+
+// VerifyCadence is Verify's closed form for one sensor on a fixed
+// charging period: charged at every multiple of period strictly inside
+// (0, T), as class c of a MinTotalDistance plan is with period
+// base^c·τ_1. The period must fit within cycle, and so must the
+// terminal gap from the last such charge to T. Both comparisons allow
+// a relative 1e-9. Unlike Verify on that schedule, it asks the period
+// to fit even when T ends before the first charge: the period is the
+// cadence the plan keeps, not just its part inside the horizon.
+func VerifyCadence(period, cycle, T float64) error {
+	if period > cycle*(1+1e-9) {
+		return fmt.Errorf("sched: period %g exceeds cycle %g", period, cycle)
+	}
+	// Last charge: the largest multiple of period strictly inside
+	// (0, T). Its gap to T must also fit (terminal gap of Lemma 2).
+	last := period * math.Floor((T-1e-9)/period)
+	if last > 0 && T-last > cycle*(1+1e-9) {
+		return fmt.Errorf("sched: terminal gap %g exceeds cycle %g", T-last, cycle)
 	}
 	return nil
 }

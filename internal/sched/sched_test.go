@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/rooted"
@@ -9,6 +11,26 @@ import (
 
 func tour(depot int, cost float64, stops ...int) rooted.Tour {
 	return rooted.Tour{Depot: depot, Stops: stops, Cost: cost}
+}
+
+// charges returns a schedule over [0, T] that charges sensor 0 once at
+// each of the given times, one round per time.
+func charges(T float64, times ...float64) *Schedule {
+	s := &Schedule{T: T}
+	for _, at := range times {
+		s.Rounds = append(s.Rounds, Round{Time: at, Tours: []rooted.Tour{tour(100, 1, 0)}})
+	}
+	return s
+}
+
+func wantErr(t *testing.T, err error, frag string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("error containing %q, got nil", frag)
+	}
+	if !strings.Contains(err.Error(), frag) {
+		t.Fatalf("error %q does not mention %q", err, frag)
+	}
 }
 
 func TestRoundCostAndSensors(t *testing.T) {
@@ -77,6 +99,14 @@ func TestVerifyFeasible(t *testing.T) {
 	if err := s.Verify([]float64{15, 40}, 1e-9); err != nil {
 		t.Errorf("feasible schedule rejected: %v", err)
 	}
+	// Cycle 10, charges at 10 and 20, T = 25: every gap is at most 10.
+	if err := charges(25, 10, 20).Verify([]float64{10}, 1e-9); err != nil {
+		t.Errorf("feasible schedule rejected: %v", err)
+	}
+	// No charge at all is fine when T fits inside one cycle.
+	if err := charges(10).Verify([]float64{10}, 1e-9); err != nil {
+		t.Errorf("single-cycle horizon rejected: %v", err)
+	}
 }
 
 func TestVerifyDetectsGapViolations(t *testing.T) {
@@ -112,6 +142,29 @@ func TestVerifyDetectsGapViolations(t *testing.T) {
 	if err := s.Verify([]float64{60}, 1e-9); err != nil {
 		t.Errorf("long-cycle sensor rejected: %v", err)
 	}
+	wantErr(t, charges(20, 15).Verify([]float64{10}, 1e-9), "sensor 0 gap")
+	wantErr(t, charges(20, 5).Verify([]float64{10}, 1e-9), "tail gap")
+}
+
+// TestVerifyRejectsUnknownSensors pins that a stop outside
+// [0, len(cycles)) is an error, not a sensor Verify silently skips: the
+// schedule is feasible for the network's two sensors either way.
+func TestVerifyRejectsUnknownSensors(t *testing.T) {
+	cycles := []float64{30, 30}
+	ok := &Schedule{T: 50, Rounds: []Round{
+		{Time: 20, Tours: []rooted.Tour{tour(100, 1, 0, 1)}},
+		{Time: 40, Tours: []rooted.Tour{tour(100, 1, 1), tour(101, 1, 0)}},
+	}}
+	if err := ok.Verify(cycles, 1e-9); err != nil {
+		t.Fatalf("feasible schedule rejected: %v", err)
+	}
+	for _, bad := range []int{-1, len(cycles), 99} {
+		s := &Schedule{T: 50, Rounds: []Round{
+			ok.Rounds[0],
+			{Time: 40, Tours: []rooted.Tour{tour(100, 1, 1), tour(101, 1, 0, bad)}},
+		}}
+		wantErr(t, s.Verify(cycles, 1e-9), "network has 2")
+	}
 }
 
 func TestVerifyDetectsBadTimes(t *testing.T) {
@@ -129,6 +182,64 @@ func TestVerifyDetectsBadTimes(t *testing.T) {
 	}}
 	if err := s.Verify([]float64{100}, 1e-9); err == nil {
 		t.Error("unordered rounds accepted")
+	}
+	// Charges out of time order are out-of-order rounds.
+	wantErr(t, charges(40, 20, 10).Verify([]float64{30}, 1e-9), "before previous round")
+}
+
+// TestVerifyCadenceMatchesVerify checks the closed form against Verify
+// on the schedule it stands for: one round at every multiple of period
+// strictly inside (0, T). Where at least one charge falls inside the
+// horizon the two agree; a sensor never charged (period >= T) passes
+// Verify when T fits its cycle, while VerifyCadence also asks the
+// period itself to fit, the cadence the plan keeps beyond T. Draws
+// within 1e-6 (relative) of a decision boundary are skipped, so both
+// tolerances decide the same way.
+func TestVerifyCadenceMatchesVerify(t *testing.T) {
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(a, b) }
+	r := rand.New(rand.NewSource(17))
+	var charged, never, neverCadenceOnly, tailOnly, rejected int
+	for trial := 0; trial < 4000; trial++ {
+		T := 5 + 95*r.Float64()
+		period := T * (0.02 + 1.5*r.Float64())
+		cycle := period * (0.5 + r.Float64())
+		if trial%4 == 0 {
+			cycle = T * (0.5 + r.Float64()) // around T, for never-charged sensors
+		}
+		last := math.Floor(T/period) * period
+		if near(period, cycle) || near(T, cycle) || near(T-last, cycle) || near(T, last) || near(T, last+period) {
+			continue
+		}
+		s := &Schedule{T: T}
+		for j := 1; float64(j)*period < T; j++ {
+			s.Rounds = append(s.Rounds, Round{Time: float64(j) * period, Tours: []rooted.Tour{tour(1, 0, 0)}})
+		}
+		verifyOK := s.Verify([]float64{cycle}, 1e-9) == nil
+		cadenceOK := VerifyCadence(period, cycle, T) == nil
+		want := verifyOK
+		if len(s.Rounds) == 0 {
+			never++
+			want = verifyOK && period <= cycle
+			if verifyOK && !want {
+				neverCadenceOnly++
+			}
+			if !verifyOK {
+				tailOnly++ // the tail from t = 0 is the only gap
+			}
+		} else {
+			charged++
+		}
+		if !want {
+			rejected++
+		}
+		if cadenceOK != want {
+			t.Fatalf("period %g cycle %g T %g (%d rounds): VerifyCadence ok=%v, want %v (Verify ok=%v)",
+				period, cycle, T, len(s.Rounds), cadenceOK, want, verifyOK)
+		}
+	}
+	if charged < 100 || never < 100 || neverCadenceOnly < 10 || tailOnly < 10 || rejected < 100 {
+		t.Fatalf("draws miss a case: charged %d, never %d (cadence-only rejections %d, tail-only %d), rejected %d",
+			charged, never, neverCadenceOnly, tailOnly, rejected)
 	}
 }
 

@@ -186,8 +186,8 @@ func TestHandlerShedAndHealth(t *testing.T) {
 		t.Errorf("healthz = %d %+v", hr.StatusCode, hb)
 	}
 
-	// Let the saturating plans finish so their trace spans (and the
-	// plan-latency histograms they register) reach the registry.
+	// Let the saturating plans finish so their latencies reach the
+	// plan histograms.
 	unblock()
 	inflightWG.Wait()
 

@@ -54,10 +54,12 @@ type Metrics struct {
 	// RequestLatency is end-to-end POST /plan latency in seconds,
 	// queueing included (chargerd_request_seconds).
 	RequestLatency *obs.Histogram
-	// Tracer times the planning spans: chargerd_plan_seconds and its
-	// chargerd_plan_refine_seconds sub-phase, wrapping the planners'
-	// RefineNs accounting.
-	Tracer *obs.Tracer
+	// PlanLatency is the worker's wall time per plan in seconds
+	// (chargerd_plan_seconds), and RefineLatency the 2-opt/Or-opt
+	// refinement inside it (chargerd_plan_refine_seconds), from the
+	// planners' RefineNs accounting.
+	PlanLatency   *obs.Histogram
+	RefineLatency *obs.Histogram
 	// HeapBytes is the in-use heap sampled after each plan
 	// (chargerd_heap_inuse_bytes) — the gauge the large-n memory
 	// guarantee (peak well below O(n²); DESIGN.md §12) is monitored by.
@@ -100,7 +102,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Coalesced:   reg.Counter("chargerd_coalesced_total", "requests joined onto an identical in-flight plan"),
 		RequestLatency: reg.Histogram("chargerd_request_seconds",
 			"end-to-end request latency in seconds", nil),
-		Tracer:          obs.NewTracer(reg, "chargerd"),
+		PlanLatency: reg.Histogram("chargerd_plan_seconds",
+			"plan duration in seconds", nil),
+		RefineLatency: reg.Histogram("chargerd_plan_refine_seconds",
+			"refinement time inside a plan in seconds", nil),
 		HeapBytes:       obs.NewMemGauge(reg, "chargerd_heap_inuse_bytes", "heap bytes in use, sampled after each plan"),
 		SessionsActive:  reg.Gauge("chargerd_sessions_active", "live tenant sessions"),
 		SessionsEvicted: reg.Counter("chargerd_sessions_evicted_total", "sessions dropped by LRU pressure or delete"),

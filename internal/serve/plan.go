@@ -67,8 +67,8 @@ func (p *PlanResponse) Encode() ([]byte, error) {
 }
 
 // planStats carries the planner's self-measured phase timings out of a
-// planning call, for the worker's trace span; they never enter the
-// response body.
+// planning call, for the worker's refine histogram; they never enter
+// the response body.
 type planStats struct {
 	refineNs int64
 }

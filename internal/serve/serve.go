@@ -311,10 +311,10 @@ func (s *Server) worker() {
 		}
 		s.mu.Unlock()
 
-		sp := s.met.Tracer.Start("plan")
+		start := time.Now()
 		body, st, err := s.planFn(fl.req, &ws)
-		sp.Phase("refine", time.Duration(st.refineNs))
-		sp.End()
+		s.met.PlanLatency.Observe(time.Since(start).Seconds())
+		s.met.RefineLatency.Observe(time.Duration(st.refineNs).Seconds())
 		// Sample heap right after planning, when per-request allocation
 		// peaks — the signal the large-n memory guarantee is watched by.
 		s.met.HeapBytes.Update()

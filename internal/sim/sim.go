@@ -100,9 +100,6 @@ func (e *Env) Requeued() []int { return e.requeued }
 // Now returns the current simulation time.
 func (e *Env) Now() float64 { return e.now }
 
-// PredRate returns the predicted consumption rate of sensor i.
-func (e *Env) PredRate(i int) float64 { return e.Pred.Predict(i) }
-
 // PredCycle returns the predicted maximum charging cycle of sensor i,
 // τ̂_i = B_i / ρ̂_i.
 func (e *Env) PredCycle(i int) float64 {

@@ -185,8 +185,8 @@ func (p *envProbe) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 	}
 	for i := range env.Net.Sensors {
 		rate := env.Net.Sensors[i].Rate()
-		if math.Abs(env.PredRate(i)-rate) > 1e-12 {
-			p.err = fmt.Errorf("PredRate(%d) = %g, want %g", i, env.PredRate(i), rate)
+		if math.Abs(env.Pred.Predict(i)-rate) > 1e-12 {
+			p.err = fmt.Errorf("Pred.Predict(%d) = %g, want %g", i, env.Pred.Predict(i), rate)
 		}
 		if math.Abs(env.PredCycle(i)-env.Net.Sensors[i].Cycle) > 1e-9 {
 			p.err = fmt.Errorf("PredCycle(%d) = %g", i, env.PredCycle(i))
@@ -268,7 +268,7 @@ func (*gammaProbe) Name() string    { return "gamma" }
 func (*gammaProbe) Init(*Env) error { return nil }
 func (g *gammaProbe) Decide(env *Env, t float64) ([]rooted.Tour, error) {
 	trueRate := env.Model.Rate(0, t)
-	if math.Abs(env.PredRate(0)-trueRate) > 1e-9 {
+	if math.Abs(env.Pred.Predict(0)-trueRate) > 1e-9 {
 		g.lagSeen = true
 	}
 	return nil, nil

@@ -148,9 +148,6 @@ func (a *FingerprintAccum) UpdateSensor(old, new Sensor) {
 	a.AddSensor(new)
 }
 
-// N returns the current sensor count.
-func (a *FingerprintAccum) N() int { return a.n }
-
 // Hash folds the accumulators exactly as Fingerprint does.
 func (a *FingerprintAccum) Hash() uint64 {
 	h := fpMix(a.headerHash ^ uint64(a.n))

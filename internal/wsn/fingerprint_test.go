@@ -150,8 +150,8 @@ func TestFingerprintAccumMatchesFromScratch(t *testing.T) {
 		if got, want := acc.Hash(), Fingerprint(ref); got != want {
 			t.Fatalf("step %d: accumulator hash %#x != from-scratch %#x (n=%d)", step, got, want, len(live))
 		}
-		if acc.N() != len(live) {
-			t.Fatalf("step %d: accumulator n=%d, want %d", step, acc.N(), len(live))
+		if acc.n != len(live) {
+			t.Fatalf("step %d: accumulator n=%d, want %d", step, acc.n, len(live))
 		}
 	}
 }
