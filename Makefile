@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-baseline test race check-test bench-smoke bench-check serve-smoke churn-smoke robust-smoke profile check
+.PHONY: build vet lint test race check-test bench-smoke bench-check serve-smoke churn-smoke robust-smoke profile check
 
 build:
 	$(GO) build ./...
@@ -12,17 +12,9 @@ vet:
 
 # Repo-specific static analysis (internal/lint): determinism,
 # concurrency-safety and allocation-discipline conventions that go vet
-# has no opinion on. Grandfathered findings live in lint_baseline.json;
-# only fresh findings fail.
+# has no opinion on. Any finding fails.
 lint:
-	$(GO) run ./cmd/lint -baseline lint_baseline.json ./...
-
-# The full ratchet: additionally fails on stale baseline entries (a
-# fixed site still listed), keeping lint_baseline.json monotonically
-# shrinking. Regenerate with:
-#   go run ./cmd/lint -baseline lint_baseline.json -update-baseline ./...
-lint-baseline:
-	$(GO) run ./cmd/lint -baseline lint_baseline.json -stale ./...
+	$(GO) run ./cmd/lint ./...
 
 test:
 	$(GO) test ./...
@@ -70,4 +62,4 @@ profile:
 		-cpuprofile profiles/cpu.out -memprofile profiles/mem.out
 	@echo "profiles written; try: go tool pprof -top profiles/cpu.out"
 
-check: build vet lint-baseline race check-test bench-smoke
+check: build vet lint race check-test bench-smoke

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/lint [-tags tag,tag] [-list] [-baseline file [-update-baseline] [-stale]] [packages ...]
+//	go run ./cmd/lint [-tags tag,tag] [-list] [packages ...]
 //
 // Packages default to ./... relative to the module root (found by
 // walking up from the working directory). Findings print as
@@ -14,15 +14,8 @@
 // there are findings, 2 on load/usage errors, 0 otherwise. Intentional
 // sites are annotated in the source with //lint:allow <check> <reason>;
 // whole-package exemptions (the serving layer's walltime grant) live in
-// lint.DefaultPolicy.
-//
-// -baseline enables the findings ratchet: findings listed in the file
-// (matched on file/check/message, lines ignored) are grandfathered and
-// only fresh findings fail. -stale additionally fails when a baseline
-// entry no longer matches any finding — the site was fixed or
-// suppressed at the source, so the entry must be deleted; this keeps
-// the baseline monotonically shrinking. -update-baseline rewrites the
-// file from the current findings and exits 0.
+// lint.DefaultPolicy. There is no baseline of tolerated findings: any
+// finding fails.
 //
 // The "checks" build tag is on by default so the real runtime-invariant
 // implementations of internal/check are linted rather than their no-op
@@ -42,11 +35,8 @@ import (
 func main() {
 	tags := flag.String("tags", "checks", "comma-separated build tags to lint under")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	baseline := flag.String("baseline", "", "grandfathered-findings file (the ratchet); only fresh findings fail")
-	update := flag.Bool("update-baseline", false, "rewrite the -baseline file from the current findings")
-	stale := flag.Bool("stale", false, "also fail on baseline entries whose finding no longer occurs")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lint [-tags tag,tag] [-list] [-baseline file [-update-baseline] [-stale]] [packages ...]")
+		fmt.Fprintln(os.Stderr, "usage: lint [-tags tag,tag] [-list] [packages ...]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -57,9 +47,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if (*update || *stale) && *baseline == "" {
-		fatal(fmt.Errorf("-update-baseline and -stale require -baseline"))
 	}
 
 	root, err := lint.FindModuleRoot(".")
@@ -86,25 +73,6 @@ func main() {
 	}
 
 	findings := lint.RunWithPolicy(pkgs, analyzers, lint.DefaultPolicy())
-
-	if *update {
-		path := baselinePath(root, *baseline)
-		if err := lint.WriteBaseline(path, findings, root); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "lint: wrote %d finding(s) to %s\n", len(findings), *baseline)
-		return
-	}
-
-	var staleEntries []lint.BaselineEntry
-	if *baseline != "" {
-		b, err := lint.ReadBaseline(baselinePath(root, *baseline))
-		if err != nil {
-			fatal(err)
-		}
-		findings, staleEntries = b.Filter(findings, root)
-	}
-
 	for _, f := range findings {
 		// Report paths relative to the module root for stable output.
 		pos := f.Pos
@@ -113,31 +81,10 @@ func main() {
 		}
 		fmt.Printf("%s:%d:%d: %s: %s\n", pos.Filename, pos.Line, pos.Column, f.Check, f.Msg)
 	}
-	fail := false
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "lint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
-		fail = true
-	}
-	if *stale && len(staleEntries) > 0 {
-		for _, e := range staleEntries {
-			fmt.Printf("%s: stale baseline entry (finding fixed or suppressed at the source)\n", e)
-		}
-		fmt.Fprintf(os.Stderr, "lint: %d stale baseline entr(ies) in %s — delete them (or rerun with -update-baseline)\n",
-			len(staleEntries), *baseline)
-		fail = true
-	}
-	if fail {
 		os.Exit(1)
 	}
-}
-
-// baselinePath anchors a relative -baseline argument at the module root,
-// so invocations from subdirectories and from make agree on the file.
-func baselinePath(root, path string) string {
-	if filepath.IsAbs(path) {
-		return path
-	}
-	return filepath.Join(root, path)
 }
 
 func fatal(err error) {

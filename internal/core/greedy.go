@@ -29,6 +29,7 @@ type Greedy struct {
 	PlanNs int64
 
 	threshold float64
+	need      []int // Decide's request list, reused across epochs
 }
 
 // Name implements sim.Policy.
@@ -56,12 +57,13 @@ func (g *Greedy) Init(env *sim.Env) error {
 // Decide implements sim.Policy.
 func (g *Greedy) Decide(env *sim.Env, t float64) ([]rooted.Tour, error) {
 	const eps = 1e-9
-	var need []int
+	need := g.need[:0]
 	for i := range env.Net.Sensors {
 		if env.ResidualLife(i) <= g.threshold+eps {
 			need = append(need, i)
 		}
 	}
+	g.need = need
 	if len(need) == 0 {
 		return nil, nil
 	}

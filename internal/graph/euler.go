@@ -2,6 +2,25 @@ package graph
 
 import "fmt"
 
+// EulerScratch holds the working arrays of EulerCircuit and Shortcut so
+// a caller that walks many small multigraphs — one per tour per round —
+// reuses one allocation instead of making seven per walk. The zero value
+// is ready to use. Slices returned by its methods alias it and stay
+// valid until the next call on the same scratch; it must not be shared
+// between goroutines.
+type EulerScratch struct {
+	off, cur, stack, circuit, tour []int
+	halves                         []half
+	used                           []bool
+}
+
+// half is one direction of an undirected edge in EulerScratch's flat CSR
+// adjacency.
+type half struct {
+	to   int
+	pair int // flat index of the twin half-edge
+}
+
 // EulerCircuit returns an Euler circuit of the connected multigraph over n
 // vertices with the given edges (parallel edges and self-loops allowed),
 // starting and ending at start. The circuit is returned as a vertex
@@ -15,41 +34,42 @@ import "fmt"
 // form a single connected component containing start, or if start has no
 // incident edge while other edges exist.
 func EulerCircuit(n int, edges []Edge, start int) ([]int, error) {
+	return new(EulerScratch).Circuit(n, edges, start)
+}
+
+// Circuit is EulerCircuit on s's buffers; the returned walk aliases s.
+func (s *EulerScratch) Circuit(n int, edges []Edge, start int) ([]int, error) {
 	if start < 0 || start >= n {
 		return nil, fmt.Errorf("graph: Euler start %d out of range [0,%d)", start, n)
 	}
 	if len(edges) == 0 {
-		return []int{start}, nil
+		s.circuit = append(s.circuit[:0], start)
+		return s.circuit, nil
 	}
 	// Half-edges live in one flat CSR array (vertex v owns
-	// halves[off[v]:off[v+1]]) instead of n per-vertex slices: the walk
-	// below is called once per tour per round, so its setup must be a
-	// handful of allocations, not O(n). The per-vertex order matches
-	// what per-vertex appends would produce (edge input order, twin
-	// halves of a self-loop adjacent), so the circuit is unchanged.
-	type half struct {
-		to   int
-		pair int // flat index of the twin half-edge
-	}
-	deg := make([]int, n)
+	// halves[off[v]:off[v+1]]) instead of n per-vertex slices. The
+	// per-vertex order matches what per-vertex appends would produce
+	// (edge input order, twin halves of a self-loop adjacent), so the
+	// circuit is unchanged. off[v+1] first counts v's degree.
+	off := grow(s.off, n+1)
+	clear(off)
 	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
+		off[e.U+1]++
+		off[e.V+1]++
 	}
-	for v, d := range deg {
-		if d%2 != 0 {
+	for v := 0; v < n; v++ {
+		if d := off[v+1]; d%2 != 0 {
 			return nil, fmt.Errorf("graph: vertex %d has odd degree %d; no Euler circuit", v, d)
 		}
 	}
-	if deg[start] == 0 {
+	if off[start+1] == 0 {
 		return nil, fmt.Errorf("graph: Euler start %d has no incident edges", start)
 	}
-	off := make([]int, n+1)
-	for v, d := range deg {
-		off[v+1] = off[v] + d
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
 	}
-	halves := make([]half, 2*len(edges))
-	cur := make([]int, n) // fill cursor, then reused as the walk cursor
+	halves := grow(s.halves, 2*len(edges))
+	cur := grow(s.cur, n) // fill cursor, then reused as the walk cursor
 	copy(cur, off[:n])
 	for _, e := range edges {
 		iu, iv := cur[e.U], cur[e.V]
@@ -67,11 +87,11 @@ func EulerCircuit(n int, edges []Edge, start int) ([]int, error) {
 	}
 	copy(cur, off[:n])
 
-	used := make([]bool, len(halves))
+	used := grow(s.used, len(halves))
+	clear(used)
 	// Iterative Hierholzer: walk until stuck, backtrack, splice.
-	stack := make([]int, 1, len(edges)+1)
-	stack[0] = start
-	circuit := make([]int, 0, len(edges)+1)
+	stack := append(grow(s.stack, len(edges)+1)[:0], start)
+	circuit := grow(s.circuit, len(edges)+1)[:0]
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		advanced := false
@@ -94,6 +114,7 @@ func EulerCircuit(n int, edges []Edge, start int) ([]int, error) {
 			stack = stack[:len(stack)-1]
 		}
 	}
+	s.off, s.cur, s.halves, s.used, s.stack, s.circuit = off, cur, halves, used, stack, circuit
 	if len(circuit) != len(edges)+1 {
 		return nil, fmt.Errorf("graph: multigraph not connected: circuit covers %d of %d edges",
 			len(circuit)-1, len(edges))
@@ -113,6 +134,12 @@ func EulerCircuit(n int, edges []Edge, start int) ([]int, error) {
 // walk. The returned slice lists each distinct vertex exactly once,
 // starting with walk[0]; the closing edge back to walk[0] is implicit.
 func Shortcut(walk []int) []int {
+	return new(EulerScratch).Shortcut(walk)
+}
+
+// Shortcut is the package-level Shortcut on s's buffers; the returned
+// tour aliases s, and walk may be the walk Circuit returned.
+func (s *EulerScratch) Shortcut(walk []int) []int {
 	if len(walk) == 0 {
 		return nil
 	}
@@ -124,13 +151,24 @@ func Shortcut(walk []int) []int {
 			max = v
 		}
 	}
-	seen := make([]bool, max+1)
-	out := make([]int, 0, len(walk))
+	seen := grow(s.used, max+1)
+	clear(seen)
+	out := grow(s.tour, len(walk))[:0]
 	for _, v := range walk {
 		if !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
 	}
+	s.used, s.tour = seen, out
 	return out
+}
+
+// grow returns b resized to length n, reallocating only when its
+// capacity is short. Contents are unspecified.
+func grow[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]T, n)
 }

@@ -18,9 +18,9 @@ import (
 // Arena plumbing itself is exempt: methods on *Scratch/*...Arena types
 // and grow*/ensure* helpers exist to allocate (once, at the watermark).
 // Everything else intentional — genuinely cold paths inside hot
-// packages — carries //lint:allow hotalloc with the reason, or is
-// grandfathered in lint_baseline.json where it stays visible and
-// burn-downable instead of silently tolerated.
+// packages — carries //lint:allow hotalloc with the reason; an error or
+// panic message built in a loop moves into a cold constructor function
+// instead.
 func runHotalloc(a *Analyzer, p *Package) []Finding {
 	var out []Finding
 	for _, f := range a.files(p) {

@@ -24,10 +24,8 @@
 //     pressure at n=1M, long after review.
 //
 // The suite is stdlib-only (go/ast + go/parser + go/types; no analysis
-// framework dependency) and is driven by cmd/lint, which also carries
-// the findings ratchet (see baseline.go): analyzers land strict, legacy
-// findings are grandfathered in lint_baseline.json and burned down
-// monotonically. Intentional exceptions are annotated in the source:
+// framework dependency) and is driven by cmd/lint, which fails on any
+// finding. Intentional exceptions are annotated in the source:
 //
 //	//lint:allow <check> <reason>
 //

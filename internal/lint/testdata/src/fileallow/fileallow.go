@@ -1,8 +1,6 @@
 // Package fileallow seeds the file-wide directive: every walltime
 // finding in this file is suppressed at the source, so no want markers
-// exist here and no baseline entry may cover it either — a baseline
-// entry for an already-suppressed finding is stale by construction (the
-// no-double-suppress property pinned by baseline_test.go).
+// exist here.
 //
 //lint:file-allow walltime fixture: timing-only diagnostics file
 package fileallow

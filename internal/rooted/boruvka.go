@@ -14,50 +14,6 @@ import (
 // goroutine handoff cost more than the queries they would shard.
 const boruvkaParallelGate = 2048
 
-// msfArena pools every O(m) buffer of one Borůvka MSF computation —
-// including the contracted-space inputs its caller (msf) fills and the
-// subset grid index — so the K+1 prefix-solution MSF calls of a plan,
-// and successive requests through a chargerd worker, reuse one grown
-// allocation instead of churning ~70 bytes/sensor/call through the GC.
-// Arenas hold memory only (no results), so pooling cannot affect
-// determinism; sync.Pool makes reuse safe across the sweep workers.
-type msfArena struct {
-	gi      metric.GridIndex
-	uf      graph.UnionFind
-	nearest []int32   // filled by msf: nearest depot per sensor
-	toRoot  []float64 // filled by msf: distance to nearest depot
-	comp    []int32
-	bestW   []float64
-	bestV   []int32
-	bestU   []int32
-	// selected MST edges, as parallel endpoint arrays (8 bytes/edge;
-	// orientation never needs the weights, which sum into Tree.Weight)
-	eu, ev []int32
-	// parallel-phase buffers (nil on the serial path)
-	bound []float64
-	cMin  []float64
-	nnU   []int32
-	nnD   []float64
-	// tree-orientation buffers; the BFS cursor and queue are not here —
-	// they overlay bestV/bestU, which are dead once the rounds finish
-	off    []int32
-	adj    []int32
-	parent []int
-	seen   []bool
-}
-
-var msfArenaPool = sync.Pool{New: func() any { return new(msfArena) }}
-
-// grow returns s resized to length n, reallocating only when the
-// capacity watermark is exceeded. Contents are unspecified; every user
-// fully overwrites (or explicitly clears) what it borrows.
-func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
 // msfBoruvka computes the exact MST of the depot-contracted space —
 // vertices 0..m-1 are the sensors, vertex m the super-root at ar.toRoot
 // distances — without a distance matrix, using Borůvka rounds over a
@@ -93,7 +49,7 @@ func grow[T any](s []T, n int) []T {
 // sensors are sharded, and the merge is byte-equal to serial. Extra
 // survivors admitted by the looser parallel bound are exactly ties the
 // merge discards. workers ≤ 1 (or small m) runs fully serial.
-func msfBoruvka(g *metric.Grid, sensors []int, ar *msfArena, workers int) graph.Tree {
+func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) graph.Tree {
 	m := len(sensors)
 	g.SubIndexInto(&ar.gi, sensors)
 	gi := &ar.gi
@@ -284,11 +240,17 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *msfArena, workers int) graph.
 	}
 	for v := 0; v < m; v++ {
 		if !seen[v] {
-			panic(fmt.Sprintf("rooted: Borůvka tree does not span sensor %d", v))
+			panic(unspannedMsg(v))
 		}
 	}
 	ar.comp, ar.bestW, ar.bestV, ar.bestU = comp, bestW, bestV, bestU
 	ar.bound, ar.cMin, ar.nnU, ar.nnD = bound, cMin, nnU, nnD
 	ar.off, ar.adj, ar.parent, ar.seen = off, adj, parent, seen
 	return graph.Tree{Parent: parent, Weight: weight}
+}
+
+// unspannedMsg keeps msfBoruvka's panic message construction out of its
+// spanning check's loop.
+func unspannedMsg(v int) string {
+	return fmt.Sprintf("rooted: Borůvka tree does not span sensor %d", v)
 }

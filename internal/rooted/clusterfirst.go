@@ -62,7 +62,7 @@ func clusterFirst(sp metric.Space, depots, sensors []int, opt Options) Solution 
 		t := Tour{Depot: d}
 		group := groups[d]
 		if len(group) > 0 {
-			local := append([]int{d}, group...)
+			local := append([]int{d}, group...) //lint:allow hotalloc ablation-only route, one fresh subspace per depot group by design
 			// The local route is refined with O(n^2)-per-sweep search,
 			// so flatten the subspace once instead of double-indirecting
 			// through the parent on every distance query.

@@ -18,6 +18,7 @@ package rooted
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/check"
 	"repro/internal/graph"
@@ -43,21 +44,23 @@ type Forest struct {
 // (depot first). It returns just {depot} for an empty tree and nil if
 // depot is not a root of f.
 func (f Forest) TreeOf(depot int) []int {
-	off, kids := f.childrenCSR()
-	members, _ := f.treeFrom(off, kids, depot)
+	var ar roundArena // discarded, so the members it returns are the caller's
+	off, kids := f.childrenCSR(&ar)
+	members, _ := f.treeFrom(off, kids, depot, &ar.tourArena)
 	return members
 }
 
-// childrenCSR builds the forest's child lists as one flat CSR pair:
-// vertex v's children are kids[off[v]:off[v+1]], in increasing index
+// childrenCSR builds the forest's child lists as one flat CSR pair in
+// ar: vertex v's children are kids[off[v]:off[v+1]], in increasing index
 // order — the same order per-vertex appends over Parent would produce.
-// ToursFromForest builds it once and walks every depot's tree from it
+// toursFromForest builds it once and walks every depot's tree from it
 // instead of rebuilding a per-depot map. int32 entries suffice (the
 // serve-layer index budget caps the ambient space) and halve the CSR's
 // footprint at million-sensor scale.
-func (f Forest) childrenCSR() (off, kids []int32) {
+func (f Forest) childrenCSR(ar *roundArena) (off, kids []int32) {
 	n := len(f.Parent)
-	off = make([]int32, n+1)
+	off = grow(ar.csrOff, n+1)
+	clear(off)
 	for _, p := range f.Parent {
 		if p >= 0 {
 			off[p+1]++
@@ -66,8 +69,8 @@ func (f Forest) childrenCSR() (off, kids []int32) {
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	kids = make([]int32, off[n])
-	cur := make([]int32, n)
+	kids = grow(ar.csrKids, int(off[n]))
+	cur := grow(ar.csrCur, n)
 	copy(cur, off[:n])
 	for v, p := range f.Parent {
 		if p >= 0 {
@@ -75,22 +78,28 @@ func (f Forest) childrenCSR() (off, kids []int32) {
 			cur[p]++
 		}
 	}
+	ar.csrOff, ar.csrKids, ar.csrCur = off, kids, cur
 	return off, kids
 }
 
-// treeFrom is TreeOf over a prebuilt childrenCSR. Alongside the member
-// list it returns the tree's parent pointers in component-local index
-// space: lparent[li] is the position in members of members[li]'s parent
-// (-1 for the depot). tourFromTree walks the doubled tree over these
-// local indices so the Euler machinery sizes its arrays by the tour,
-// not the whole space — per-call O(sp.Len()) setup at a million sensors
-// was the last super-linear cost on the tour-construction path.
-func (f Forest) treeFrom(off, kids []int32, depot int) (members []int, lparent []int32) {
+// treeFrame is one pending vertex of treeFrom's preorder walk: the
+// vertex and the local index of its parent.
+type treeFrame struct{ v, p int32 }
+
+// treeFrom is TreeOf over a prebuilt childrenCSR, on ta's buffers.
+// Alongside the member list it returns the tree's parent pointers in
+// component-local index space: lparent[li] is the position in members
+// of members[li]'s parent (-1 for the depot). tourFromTree walks the
+// doubled tree over these local indices so the Euler machinery sizes its
+// arrays by the tour, not the whole space — per-call O(sp.Len()) setup
+// at a million sensors was the last super-linear cost on the
+// tour-construction path.
+func (f Forest) treeFrom(off, kids []int32, depot int, ta *tourArena) (members []int, lparent []int32) {
 	if depot < 0 || depot >= len(f.Parent) || f.Parent[depot] != -1 {
 		return nil, nil
 	}
-	type frame struct{ v, p int32 }
-	stack := []frame{{int32(depot), -1}}
+	stack := append(ta.stack[:0], treeFrame{int32(depot), -1})
+	members, lparent = ta.members[:0], ta.lparent[:0]
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -100,9 +109,10 @@ func (f Forest) treeFrom(off, kids []int32, depot int) (members []int, lparent [
 		// Push in reverse so smaller-indexed children come out first;
 		// deterministic order keeps golden tests stable.
 		for i := off[fr.v+1] - 1; i >= off[fr.v]; i-- {
-			stack = append(stack, frame{kids[i], li})
+			stack = append(stack, treeFrame{kids[i], li})
 		}
 	}
+	ta.stack, ta.members, ta.lparent = stack, members, lparent
 	return members, lparent
 }
 
@@ -123,7 +133,7 @@ func (f Forest) Validate(sp metric.Space, depots, sensors []int) error {
 		}
 		isDepot[d] = true
 		if f.Parent[d] != -1 {
-			return fmt.Errorf("rooted: depot %d has parent %d, want -1", d, f.Parent[d])
+			return depotParentErr(d, f.Parent[d])
 		}
 	}
 	var weight float64
@@ -132,17 +142,17 @@ func (f Forest) Validate(sp metric.Space, depots, sensors []int) error {
 		v := s
 		for steps := 0; ; steps++ {
 			if steps > len(f.Parent) {
-				return fmt.Errorf("rooted: cycle reached from sensor %d", s)
+				return cycleErr(s)
 			}
 			p := f.Parent[v]
 			if p == -1 {
 				if !isDepot[v] {
-					return fmt.Errorf("rooted: sensor %d reaches root %d which is not a depot", s, v)
+					return foreignRootErr(s, v)
 				}
 				break
 			}
 			if p == NotInForest || p < 0 || p >= len(f.Parent) {
-				return fmt.Errorf("rooted: sensor %d has invalid ancestor parent %d", s, p)
+				return ancestorErr(s, p)
 			}
 			v = p
 		}
@@ -154,10 +164,24 @@ func (f Forest) Validate(sp metric.Space, depots, sensors []int) error {
 	return nil
 }
 
-// depotRangeErr keeps Validate's out-of-space depot error construction
-// out of its per-depot loop.
+// Cold constructors for Validate's errors, kept out of its loops.
+
 func depotRangeErr(depot, n int) error {
 	return fmt.Errorf("rooted: depot %d out of range [0,%d)", depot, n)
+}
+
+func depotParentErr(depot, p int) error {
+	return fmt.Errorf("rooted: depot %d has parent %d, want -1", depot, p)
+}
+
+func cycleErr(s int) error { return fmt.Errorf("rooted: cycle reached from sensor %d", s) }
+
+func foreignRootErr(s, root int) error {
+	return fmt.Errorf("rooted: sensor %d reaches root %d which is not a depot", s, root)
+}
+
+func ancestorErr(s, p int) error {
+	return fmt.Errorf("rooted: sensor %d has invalid ancestor parent %d", s, p)
 }
 
 // MSF computes an exact minimum q-rooted spanning forest of the sensors
@@ -173,68 +197,138 @@ func depotRangeErr(depot, n int) error {
 //
 // Depots and sensors must be disjoint non-empty/empty index sets into sp;
 // MSF panics on overlapping sets or an empty depot list, since those are
-// caller bugs rather than data conditions.
+// caller bugs rather than data conditions. The returned Forest owns its
+// memory.
 func MSF(sp metric.Space, depots, sensors []int) Forest {
-	return msf(sp, depots, sensors, 1)
+	ar := roundArenaPool.Get().(*roundArena)
+	f := msf(sp, depots, sensors, 1, ar)
+	f.Parent = append([]int(nil), f.Parent...)
+	f.Depots = append([]int(nil), f.Depots...)
+	roundArenaPool.Put(ar)
+	return f
 }
 
-// msf is MSF with a worker budget for the Borůvka grid path; the forest
-// is byte-identical for every workers value (see msfBoruvka). Tours
-// passes Options.Workers through here so large grid plans parallelize
-// the MSF too, not just the per-depot tour builds.
-func msf(sp metric.Space, depots, sensors []int, workers int) Forest {
+// roundArena pools every buffer of one q-rooted round — msf's duplicate
+// check and contracted-space inputs, the MST (Prim's fringe or the
+// Borůvka rounds and the subset grid index), the un-contracted forest
+// and its child lists, and, on the serial path, each tree's walk, Euler
+// circuit and shortcut — so a round allocates only what it returns, and
+// the K+1 prefix solutions of a plan, Greedy's rounds and successive
+// chargerd requests reuse one grown allocation instead of churning the
+// GC. Tours takes one per call. Arenas hold memory only (no results), so
+// pooling cannot affect determinism; sync.Pool makes reuse safe across
+// the sweep workers.
+type roundArena struct {
+	// msf: the full-length parent array of the Forest it returns (also
+	// its duplicate check), and each sensor's nearest depot and distance
+	forest  []int
+	nearest []int32
+	toRoot  []float64
+	// contracted MST: parent is its m+1 parent array on both paths
+	// (Prim writes it directly; Borůvka orients its edges into it)
+	parent []int
+	fringe []fringeEntry
+	// Borůvka rounds
+	gi    metric.GridIndex
+	uf    graph.UnionFind
+	comp  []int32
+	bestW []float64
+	bestV []int32
+	bestU []int32
+	// selected MST edges, as parallel endpoint arrays (8 bytes/edge;
+	// orientation never needs the weights, which sum into Tree.Weight)
+	eu, ev []int32
+	// parallel-phase buffers (nil on the serial path)
+	bound []float64
+	cMin  []float64
+	nnU   []int32
+	nnD   []float64
+	// tree-orientation buffers; the BFS cursor and queue are not here —
+	// they overlay bestV/bestU, which are dead once the rounds finish
+	off  []int32
+	adj  []int32
+	seen []bool
+	// the forest's child lists (childrenCSR)
+	csrOff, csrCur, csrKids []int32
+	tourArena
+}
+
+// tourArena holds one tree's walk (treeFrom) and tour construction
+// (tourFromTree) buffers. The serial path uses its round arena's; each
+// extra tour worker takes one from tourArenaPool, so worker buffers
+// never land in roundArenaPool, where a later round taking one would
+// regrow every MST buffer.
+type tourArena struct {
+	stack   []treeFrame
+	members []int
+	lparent []int32
+	doubled []graph.Edge
+	euler   graph.EulerScratch
+	tour    []int
+}
+
+var (
+	roundArenaPool = sync.Pool{New: func() any { return new(roundArena) }}
+	tourArenaPool  = sync.Pool{New: func() any { return new(tourArena) }}
+)
+
+// grow returns s resized to length n, reallocating only when the
+// capacity watermark is exceeded. Contents are unspecified; every user
+// fully overwrites (or explicitly clears) what it borrows.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// msf is MSF on a round arena, with a worker budget for the Borůvka grid
+// path; the forest is byte-identical for every workers value (see
+// msfBoruvka). Tours passes Options.Workers through here so large grid
+// plans parallelize the MSF too, not just the per-depot tour builds. The
+// returned Forest's Parent aliases ar and its Depots is depots itself.
+func msf(sp metric.Space, depots, sensors []int, workers int, ar *roundArena) Forest {
 	if len(depots) == 0 {
 		panic("rooted: MSF requires at least one depot")
 	}
-	seen := make([]bool, sp.Len())
-	for _, d := range depots {
-		if seen[d] {
-			panic(fmt.Sprintf("rooted: duplicate depot %d", d))
-		}
-		seen[d] = true
-	}
-	for _, s := range sensors {
-		if seen[s] {
-			panic(fmt.Sprintf("rooted: sensor %d duplicates a depot or sensor", s))
-		}
-		seen[s] = true
-	}
-
-	parent := make([]int, sp.Len())
+	// The parent array doubles as the duplicate check: every vertex
+	// starts NotInForest, and each depot and sensor claims its entry
+	// once. A sensor's -1 is a placeholder until un-contraction below
+	// sets its parent.
+	parent := grow(ar.forest, sp.Len())
+	ar.forest = parent
 	for i := range parent {
 		parent[i] = NotInForest
 	}
 	for _, d := range depots {
+		if parent[d] != NotInForest {
+			panic(duplicateMsg(d, true))
+		}
 		parent[d] = -1
 	}
+	for _, s := range sensors {
+		if parent[s] != NotInForest {
+			panic(duplicateMsg(s, false))
+		}
+		parent[s] = -1
+	}
 	if len(sensors) == 0 {
-		return Forest{Parent: parent, Depots: append([]int(nil), depots...), Weight: 0}
+		return Forest{Parent: parent, Depots: depots, Weight: 0}
 	}
 
 	// Contracted space: vertices 0..len(sensors)-1 are the sensors,
 	// vertex len(sensors) is the super-root r. d(v, r) is the distance
 	// from v to its nearest depot; nearest[v] records which depot
-	// realizes it so un-contraction is a table lookup. The grid path
-	// borrows both arrays (and every Borůvka buffer) from the pooled
-	// arena; depot indices fit int32 by the serve-layer index budget.
+	// realizes it so un-contraction is a table lookup. Depot indices fit
+	// int32 by the serve-layer index budget.
 	dense, isDense := metric.AsDense(sp)
 	var grid *metric.Grid
 	if !isDense {
 		grid, _ = metric.AsGrid(sp)
 	}
-	var ar *msfArena
-	var nearest []int32
-	var toNearest []float64
-	if grid != nil {
-		ar = msfArenaPool.Get().(*msfArena)
-		defer msfArenaPool.Put(ar)
-		ar.nearest = grow(ar.nearest, len(sensors))
-		ar.toRoot = grow(ar.toRoot, len(sensors))
-		nearest, toNearest = ar.nearest, ar.toRoot
-	} else {
-		nearest = make([]int32, len(sensors))
-		toNearest = make([]float64, len(sensors))
-	}
+	ar.nearest = grow(ar.nearest, len(sensors))
+	ar.toRoot = grow(ar.toRoot, len(sensors))
+	nearest, toNearest := ar.nearest, ar.toRoot
 	for i, s := range sensors {
 		best, bd := -1, math.Inf(1)
 		switch {
@@ -266,7 +360,7 @@ func msf(sp metric.Space, depots, sensors []int, workers int) Forest {
 	var mst graph.Tree
 	switch {
 	case isDense:
-		mst = primContractedDense(dense, sensors, toNearest)
+		mst = primContractedDense(dense, sensors, toNearest, ar)
 	case grid != nil:
 		// Sub-quadratic path: exact Borůvka MSF over the grid index, no
 		// O(n²) matrix. Same tree weight as Prim (the MST is unique up
@@ -287,10 +381,10 @@ func msf(sp metric.Space, depots, sensors []int, workers int) Forest {
 		default:
 			// Prim rooted at the super-root never leaves a sensor
 			// unparented in a connected space.
-			panic(fmt.Sprintf("rooted: sensor %d unparented by MST", s))
+			panic(unparentedMsg(s))
 		}
 	}
-	f := Forest{Parent: parent, Depots: append([]int(nil), depots...), Weight: mst.Weight}
+	f := Forest{Parent: parent, Depots: depots, Weight: mst.Weight}
 	if check.Enabled {
 		if err := f.Validate(sp, depots, sensors); err != nil {
 			panic("rooted: MSF postcondition: " + err.Error())
@@ -299,52 +393,77 @@ func msf(sp metric.Space, depots, sensors []int, workers int) Forest {
 	return f
 }
 
+// Cold constructors for msf's panic messages, kept out of its loops.
+
+func duplicateMsg(v int, depot bool) string {
+	if depot {
+		return fmt.Sprintf("rooted: duplicate depot %d", v)
+	}
+	return fmt.Sprintf("rooted: sensor %d duplicates a depot or sensor", v)
+}
+
+func unparentedMsg(s int) string { return fmt.Sprintf("rooted: sensor %d unparented by MST", s) }
+
+// fringeEntry is one vertex outside primContractedDense's tree: its
+// contracted index v, its point s in the Dense space, and its cheapest
+// edge so far, of weight best, to tree vertex p.
+type fringeEntry struct {
+	v, s, p int32
+	best    float64
+}
+
 // primContractedDense is graph.PrimMST specialized to the depot-
 // contracted space over a Dense parent: vertices 0..m-1 are sensors,
-// vertex m is the super-root at toRoot distances. The fringe scan and
-// tie-breaking replicate graph.PrimMST exactly — same iteration order,
-// same strict comparisons — so the returned tree is bit-identical to
-// the interface path; only the per-distance dispatch is gone.
-func primContractedDense(d metric.Dense, sensors []int, toRoot []float64) graph.Tree {
+// vertex m is the super-root at toRoot distances. It writes the tree's
+// parents into ar.parent, which the returned Tree aliases.
+//
+// The vertices outside the tree live in a fringe that shrinks by swap-
+// removal, and one pass over it both relaxes each entry against the
+// vertex that just joined and selects the next one. The selection breaks
+// weight ties by the lowest vertex index, which is what graph.PrimMST's
+// index-order scan with strict comparisons picks, and relaxation uses the
+// same strict comparison; so every step joins the same vertex with the
+// same parent as graph.PrimMST, and the weights are summed in the same
+// order — parents and Weight are bit-identical to the interface path.
+func primContractedDense(d metric.Dense, sensors []int, toRoot []float64, ar *roundArena) graph.Tree {
 	m := len(sensors)
-	n := m + 1
-	parent := make([]int, n)
-	best := make([]float64, n)
-	inTree := make([]bool, n)
-	for i := range parent {
-		parent[i] = -1
-		best[i] = math.Inf(1)
-	}
-	best[m] = 0 // the super-root is the Prim root and enters first
-	var total float64
-	for iter := 0; iter < n; iter++ {
-		u, bw := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !inTree[v] && best[v] < bw {
-				u, bw = v, best[v]
-			}
+	parent := grow(ar.parent, m+1)
+	parent[m] = -1
+	fr := grow(ar.fringe, m)
+	ar.parent, ar.fringe = parent, fr
+	// The super-root joins first, at weight 0; relaxing its edges seeds
+	// the fringe with every sensor at its nearest-depot distance.
+	bi, bw, bv := -1, math.Inf(1), int32(0)
+	for v := range fr {
+		e := fringeEntry{v: int32(v), s: int32(sensors[v]), p: -1, best: math.Inf(1)}
+		if toRoot[v] < e.best {
+			e.best, e.p = toRoot[v], int32(m)
 		}
-		if u == -1 {
+		fr[v] = e
+		if e.best < bw { // ascending v: strict < keeps the lowest index
+			bi, bw, bv = v, e.best, e.v
+		}
+	}
+	var total float64
+	for len(fr) > 0 {
+		if bi < 0 {
 			panic("rooted: contracted Prim on disconnected space")
 		}
-		inTree[u] = true
+		u := fr[bi]
+		last := len(fr) - 1
+		fr[bi] = fr[last]
+		fr = fr[:last]
+		parent[u.v] = int(u.p)
 		total += bw
-		if u == m {
-			for v := 0; v < m; v++ {
-				if !inTree[v] && toRoot[v] < best[v] {
-					best[v] = toRoot[v]
-					parent[v] = m
-				}
+		row := d.Row(int(u.s))
+		bi, bw = -1, math.Inf(1)
+		for i := range fr {
+			e := &fr[i]
+			if w := row[e.s]; w < e.best {
+				e.best, e.p = w, u.v
 			}
-			continue
-		}
-		row := d.Row(sensors[u])
-		for v := 0; v < m; v++ {
-			if !inTree[v] {
-				if w := row[sensors[v]]; w < best[v] {
-					best[v] = w
-					parent[v] = u
-				}
+			if e.best < bw || (e.best == bw && e.v < bv && bi >= 0) { //lint:allow floateq Prim's lowest-index tie-break, deterministic by design
+				bi, bw, bv = i, e.best, e.v
 			}
 		}
 	}

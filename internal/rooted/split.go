@@ -46,8 +46,7 @@ func splitOne(sp metric.Space, t Tour, budget float64) ([]Tour, error) {
 	}
 	for _, s := range t.Stops {
 		if need := 2 * sp.Dist(t.Depot, s); need > budget+1e-9 {
-			return nil, fmt.Errorf("rooted: stop %d needs round trip %g > budget %g from depot %d",
-				s, need, budget, t.Depot)
+			return nil, unreachableStopErr(s, need, budget, t.Depot)
 		}
 	}
 	var pieces []Tour
@@ -70,6 +69,12 @@ func splitOne(sp metric.Space, t Tour, budget float64) ([]Tour, error) {
 	cur.Cost = length + sp.Dist(last, t.Depot)
 	pieces = append(pieces, cur)
 	return pieces, nil
+}
+
+// unreachableStopErr keeps splitOne's error construction out of its
+// per-stop loop.
+func unreachableStopErr(stop int, need, budget float64, depot int) error {
+	return fmt.Errorf("rooted: stop %d needs round trip %g > budget %g from depot %d", stop, need, budget, depot)
 }
 
 // MaxTourCost returns the longest single tour in the solution — the

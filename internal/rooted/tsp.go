@@ -127,8 +127,10 @@ func Tours(sp metric.Space, depots, sensors []int, opt Options) Solution {
 	} else {
 		// Workers flows into the MSF too: the Borůvka grid path shards
 		// its per-round neighbor queries, byte-identically to serial.
-		f := msf(sp, depots, sensors, opt.Workers)
-		sol = ToursFromForest(sp, f, opt)
+		ar := roundArenaPool.Get().(*roundArena)
+		f := msf(sp, depots, sensors, opt.Workers, ar)
+		sol = toursFromForest(sp, f, opt, ar)
+		roundArenaPool.Put(ar)
 	}
 	if check.Enabled {
 		if err := sol.Validate(sp, depots, sensors); err != nil {
@@ -138,37 +140,24 @@ func Tours(sp metric.Space, depots, sensors []int, opt Options) Solution {
 	return sol
 }
 
-// ToursFromForest converts an existing q-rooted forest into rooted closed
-// tours, one per depot, without recomputing the forest. It is split out
-// so the variable-cycle heuristic can re-tour a patched forest.
+// toursFromForest converts a q-rooted forest into rooted closed tours,
+// one per depot, on a round arena: ar holds the forest's child lists
+// and, on the serial path, every tree's working buffers, so only the
+// Tours slice and each tour's Stops are allocated.
 //
 // With opt.Workers > 1 the depot trees are built and refined
 // concurrently: workers claim depot indices from an atomic counter,
-// each with a private tsp.Scratch, and write finished tours into their
-// fixed depot-order slots. Tour construction is a pure function of
-// (sp, forest, depot, options minus Scratch), so the merged Solution is
-// byte-identical to the serial one regardless of scheduling.
-func ToursFromForest(sp metric.Space, f Forest, opt Options) Solution {
-	sol := Solution{ForestWeight: f.Weight}
-	off, kids := f.childrenCSR()
-	sol.Tours = make([]Tour, len(f.Depots))
-	build := func(li int, o Options) {
-		d := f.Depots[li]
-		members, lparent := f.treeFrom(off, kids, d)
-		t := Tour{Depot: d}
-		if len(members) > 1 {
-			t.Stops = tourFromTree(sp, members, lparent, d, o)
-			t.Cost = tsp.Cost(sp, t.Vertices())
-		}
-		sol.Tours[li] = t
-	}
-	workers := opt.Workers
-	if workers > len(f.Depots) {
-		workers = len(f.Depots)
-	}
+// each with a private tsp.Scratch and tour arena, and write finished
+// tours into their fixed depot-order slots. Tour construction is a pure
+// function of (sp, forest, depot, options minus Scratch), so the merged
+// Solution is byte-identical to the serial one regardless of scheduling.
+func toursFromForest(sp metric.Space, f Forest, opt Options, ar *roundArena) Solution {
+	sol := Solution{ForestWeight: f.Weight, Tours: make([]Tour, len(f.Depots))}
+	off, kids := f.childrenCSR(ar)
+	workers := min(opt.Workers, len(f.Depots))
 	if workers <= 1 {
-		for li := range f.Depots {
-			build(li, opt)
+		for li, d := range f.Depots {
+			sol.Tours[li] = depotTour(sp, f, off, kids, d, opt, &ar.tourArena)
 		}
 		return sol
 	}
@@ -178,16 +167,20 @@ func ToursFromForest(sp metric.Space, f Forest, opt Options) Solution {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The caller's Scratch must not be shared across workers;
-			// each goroutine gets its own arena for the whole claim loop.
+			// Neither the caller's Scratch nor the tour buffers may be
+			// shared across workers; each goroutine takes its own of
+			// both for the whole claim loop. The child lists in ar are
+			// only read.
 			o := opt
 			o.Scratch = &tsp.Scratch{}
+			ta := tourArenaPool.Get().(*tourArena)
+			defer tourArenaPool.Put(ta)
 			for {
 				li := int(next.Add(1)) - 1
 				if li >= len(f.Depots) {
 					return
 				}
-				build(li, o)
+				sol.Tours[li] = depotTour(sp, f, off, kids, f.Depots[li], o, ta)
 			}
 		}()
 	}
@@ -195,17 +188,43 @@ func ToursFromForest(sp metric.Space, f Forest, opt Options) Solution {
 	return sol
 }
 
+// depotTour builds the closed tour of depot's tree in f, whose child
+// lists are off and kids, on ta's buffers.
+func depotTour(sp metric.Space, f Forest, off, kids []int32, depot int, opt Options, ta *tourArena) Tour {
+	members, lparent := f.treeFrom(off, kids, depot, ta)
+	t := Tour{Depot: depot}
+	if len(members) > 1 {
+		t.Stops = tourFromTree(sp, members, lparent, depot, opt, ta)
+		t.Cost = tourCost(sp, depot, t.Stops)
+	}
+	return t
+}
+
+// tourCost is tsp.Cost of the tour depot, stops...: the same edges
+// summed in the same order, without building that vertex sequence.
+//
+//lint:allow hotdist one Dist per tour edge, as in tsp.Cost
+func tourCost(sp metric.Space, depot int, stops []int) float64 {
+	var sum float64
+	last := depot
+	for _, s := range stops {
+		sum += sp.Dist(last, s)
+		last = s
+	}
+	return sum + sp.Dist(last, depot)
+}
+
 // tourFromTree converts one forest component into a closed tour, by
-// edge doubling (Algorithm 2) or the Christofides construction. The
-// tree arrives in component-local index space (members preorder, with
-// lparent the local parent pointers from treeFrom): the Euler walk and
-// shortcut run entirely on local indices, so their O(V) working arrays
-// are sized by the tour's m members, not sp.Len() — at a million
-// sensors and dozens of tours per round the old space-sized setup
-// dominated all planning allocation. Relabeling is a bijection and the
-// doubled edges keep their order, so the walk — and therefore the tour
-// — is the old one relabeled, bit for bit.
-func tourFromTree(sp metric.Space, members []int, lparent []int32, depot int, opt Options) []int {
+// edge doubling (Algorithm 2) or the Christofides construction, and
+// returns its stops in a slice of their own. The tree arrives in
+// component-local index space (members preorder, with lparent the local
+// parent pointers from treeFrom): the Euler walk and shortcut run
+// entirely on local indices in ta's buffers, so their O(V) working
+// arrays are sized by the tour's m members, not sp.Len(), and reused
+// across tours. Relabeling is a bijection and the doubled edges keep
+// their order, so the walk — and therefore the tour — is the global-
+// index walk relabeled, bit for bit.
+func tourFromTree(sp metric.Space, members []int, lparent []int32, depot int, opt Options, ta *tourArena) []int {
 	var tour []int
 	if opt.Method == MethodChristofides {
 		sub := make([]int, sp.Len())
@@ -222,17 +241,20 @@ func tourFromTree(sp metric.Space, members []int, lparent []int32, depot int, op
 		// EulerCircuit never reads edge weights, so the doubled edges
 		// carry endpoints only — no Dist calls here. members[0] is the
 		// depot (preorder root), the only member without a parent.
-		doubled := make([]graph.Edge, 0, 2*(len(members)-1))
+		doubled := ta.doubled[:0]
 		for li := 1; li < len(members); li++ {
 			e := graph.Edge{U: li, V: int(lparent[li])}
 			doubled = append(doubled, e, e)
 		}
-		walk, err := graph.EulerCircuit(len(members), doubled, 0)
+		ta.doubled = doubled
+		walk, err := ta.euler.Circuit(len(members), doubled, 0)
 		if err != nil {
 			panic("rooted: doubled tree not Eulerian: " + err.Error())
 		}
-		tour = graph.Shortcut(walk)
-		for i, lv := range tour {
+		local := ta.euler.Shortcut(walk)
+		tour = grow(ta.tour, len(local))
+		ta.tour = tour
+		for i, lv := range local {
 			tour[i] = members[lv]
 		}
 	}
@@ -242,7 +264,7 @@ func tourFromTree(sp metric.Space, members []int, lparent []int32, depot int, op
 	if tour[0] != depot {
 		panic(fmt.Sprintf("rooted: tour lost its depot %d", depot))
 	}
-	return tour[1:]
+	return append([]int(nil), tour[1:]...)
 }
 
 // Validate checks that sol covers exactly the requested sensors, that
@@ -260,7 +282,7 @@ func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 	visited := make(map[int]bool)
 	for _, t := range s.Tours {
 		if !wantDepot[t.Depot] {
-			return fmt.Errorf("rooted: tour rooted at %d which is not a requested depot", t.Depot)
+			return unrequestedDepotErr(t.Depot)
 		}
 		delete(wantDepot, t.Depot)
 		for _, v := range t.Stops {
@@ -268,12 +290,12 @@ func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 				return stopRangeErr(t.Depot, v, sp.Len())
 			}
 			if visited[v] {
-				return fmt.Errorf("rooted: sensor %d visited by two tours", v)
+				return revisitErr(v)
 			}
 			visited[v] = true
 		}
 		if got, want := t.Cost, tsp.Cost(sp, t.Vertices()); abs(got-want) > 1e-6*(1+want) {
-			return fmt.Errorf("rooted: tour at depot %d records cost %g, recomputed %g", t.Depot, got, want)
+			return costErr(t.Depot, got, want)
 		}
 	}
 	if len(wantDepot) != 0 {
@@ -281,7 +303,7 @@ func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 	}
 	for _, v := range sensors {
 		if !visited[v] {
-			return fmt.Errorf("rooted: sensor %d not covered by any tour", v)
+			return uncoveredErr(v)
 		}
 	}
 	if len(visited) != len(sensors) {
@@ -290,11 +312,23 @@ func (s Solution) Validate(sp metric.Space, depots, sensors []int) error {
 	return nil
 }
 
-// stopRangeErr keeps Validate's out-of-space error construction out of
-// its per-stop loop.
+// Cold constructors for Validate's errors, kept out of its loops.
+
 func stopRangeErr(depot, stop, n int) error {
 	return fmt.Errorf("rooted: tour at depot %d has stop %d out of range [0,%d)", depot, stop, n)
 }
+
+func unrequestedDepotErr(d int) error {
+	return fmt.Errorf("rooted: tour rooted at %d which is not a requested depot", d)
+}
+
+func revisitErr(v int) error { return fmt.Errorf("rooted: sensor %d visited by two tours", v) }
+
+func costErr(depot int, got, want float64) error {
+	return fmt.Errorf("rooted: tour at depot %d records cost %g, recomputed %g", depot, got, want)
+}
+
+func uncoveredErr(v int) error { return fmt.Errorf("rooted: sensor %d not covered by any tour", v) }
 
 func abs(x float64) float64 {
 	if x < 0 {

@@ -214,9 +214,9 @@ func TestToursFromForestMatchesTours(t *testing.T) {
 	depots, sensors := splitIndices(r, 40, 3)
 	f := MSF(sp, depots, sensors)
 	a := Tours(sp, depots, sensors, Options{})
-	b := ToursFromForest(sp, f, Options{})
+	b := toursFromForest(sp, f, Options{}, new(roundArena))
 	if math.Abs(a.Cost()-b.Cost()) > 1e-9 {
-		t.Errorf("Tours %g != ToursFromForest %g", a.Cost(), b.Cost())
+		t.Errorf("Tours %g != toursFromForest %g", a.Cost(), b.Cost())
 	}
 }
 

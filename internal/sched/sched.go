@@ -93,15 +93,20 @@ func (s *Schedule) ChargeTimes(n int) [][]float64 {
 // the initial full charge at time 0 and the tail gap to T. It also checks
 // that rounds are time-ordered within (0, T) and that every stop is a
 // sensor of the network, an id in [0, len(cycles)). eps absorbs
-// floating-point slack in gap comparisons.
+// floating-point slack in gap comparisons. A NaN time or cycle, or a T
+// that is not finite, fails: every comparison is written so that NaN
+// lands on the rejecting side.
 //
 // It is one pass over the rounds: they must come in time order, so each
 // sensor's charges arrive sorted and only its last charge time is kept.
 func (s *Schedule) Verify(cycles []float64, eps float64) error {
+	if math.IsNaN(s.T) || math.IsInf(s.T, 0) {
+		return fmt.Errorf("sched: monitoring period T = %g is not finite", s.T)
+	}
 	last := make([]float64, len(cycles)) // full charge at deployment
 	prev := math.Inf(-1)
 	for j, r := range s.Rounds {
-		if r.Time <= 0 || r.Time >= s.T {
+		if !(r.Time > 0 && r.Time < s.T) {
 			return fmt.Errorf("sched: round %d dispatched at %g outside (0, %g)", j, r.Time, s.T)
 		}
 		if r.Time < prev {
@@ -113,7 +118,7 @@ func (s *Schedule) Verify(cycles []float64, eps float64) error {
 				if i < 0 || i >= len(cycles) {
 					return fmt.Errorf("sched: round %d charges sensor %d, network has %d", j, i, len(cycles))
 				}
-				if gap := r.Time - last[i]; gap > cycles[i]+eps {
+				if gap := r.Time - last[i]; !(gap <= cycles[i]+eps) {
 					return fmt.Errorf("sched: sensor %d gap %g > cycle %g (charge at %g after %g)",
 						i, gap, cycles[i], r.Time, last[i])
 				}
@@ -122,7 +127,7 @@ func (s *Schedule) Verify(cycles []float64, eps float64) error {
 		}
 	}
 	for i, t := range last {
-		if gap := s.T - t; gap > cycles[i]+eps {
+		if gap := s.T - t; !(gap <= cycles[i]+eps) {
 			return fmt.Errorf("sched: sensor %d tail gap %g > cycle %g (last charge at %g, T=%g)",
 				i, gap, cycles[i], t, s.T)
 		}

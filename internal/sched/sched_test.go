@@ -168,33 +168,28 @@ func TestVerifyRejectsUnknownSensors(t *testing.T) {
 }
 
 func TestVerifyDetectsBadTimes(t *testing.T) {
-	s := &Schedule{T: 50, Rounds: []Round{{Time: 0, Tours: []rooted.Tour{tour(100, 1, 0)}}}}
-	if err := s.Verify([]float64{100}, 1e-9); err == nil {
-		t.Error("t=0 round accepted")
+	nan := math.NaN()
+	for _, c := range []struct {
+		name   string
+		s      *Schedule
+		cycles []float64
+		want   string
+	}{
+		{"round at 0", charges(50, 0), []float64{100}, "outside (0, 50)"},
+		{"round at T", charges(50, 50), []float64{100}, "outside (0, 50)"},
+		{"unordered rounds", charges(50, 30, 10), []float64{100}, "before previous round"},
+		// Charges out of time order are out-of-order rounds.
+		{"unordered charges", charges(40, 20, 10), []float64{30}, "before previous round"},
+		{"round at NaN", charges(50, nan), []float64{10}, "outside (0, 50)"},
+		{"NaN T", &Schedule{T: nan}, []float64{10}, "not finite"},
+		{"infinite T", &Schedule{T: math.Inf(1)}, []float64{10}, "not finite"},
+		{"NaN cycle, charged", charges(50, 10, 20, 30, 40), []float64{nan}, "gap 10 > cycle NaN"},
+		{"NaN cycle, never charged", &Schedule{T: 50}, []float64{nan}, "tail gap 50 > cycle NaN"},
+	} {
+		t.Run(c.name, func(t *testing.T) { wantErr(t, c.s.Verify(c.cycles, 1e-9), c.want) })
 	}
-	s = &Schedule{T: 50, Rounds: []Round{{Time: 50, Tours: []rooted.Tour{tour(100, 1, 0)}}}}
-	if err := s.Verify([]float64{100}, 1e-9); err == nil {
-		t.Error("t=T round accepted")
-	}
-	s = &Schedule{T: 50, Rounds: []Round{
-		{Time: 30, Tours: []rooted.Tour{tour(100, 1, 0)}},
-		{Time: 10, Tours: []rooted.Tour{tour(100, 1, 0)}},
-	}}
-	if err := s.Verify([]float64{100}, 1e-9); err == nil {
-		t.Error("unordered rounds accepted")
-	}
-	// Charges out of time order are out-of-order rounds.
-	wantErr(t, charges(40, 20, 10).Verify([]float64{30}, 1e-9), "before previous round")
 }
 
-// TestVerifyCadenceMatchesVerify checks the closed form against Verify
-// on the schedule it stands for: one round at every multiple of period
-// strictly inside (0, T). Where at least one charge falls inside the
-// horizon the two agree; a sensor never charged (period >= T) passes
-// Verify when T fits its cycle, while VerifyCadence also asks the
-// period itself to fit, the cadence the plan keeps beyond T. Draws
-// within 1e-6 (relative) of a decision boundary are skipped, so both
-// tolerances decide the same way.
 func TestVerifyCadenceMatchesVerify(t *testing.T) {
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(a, b) }
 	r := rand.New(rand.NewSource(17))
