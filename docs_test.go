@@ -140,3 +140,48 @@ func TestCitedArtifactsExist(t *testing.T) {
 		}
 	}
 }
+
+// TestPackageMapsNameEveryDirectory fails when a directory under
+// internal/, cmd/ or examples/ is missing from README's "Architecture"
+// map or DESIGN §8 "Layout", so neither map can fall behind the tree.
+// A map names a directory as a path (internal/delta) or in a brace
+// list (internal/{serve,obs,delta}).
+func TestPackageMapsNameEveryDirectory(t *testing.T) {
+	maps := []struct{ file, from, to string }{
+		{"README.md", "## Architecture\n", "\n#"},
+		{"DESIGN.md", "## 8. Layout\n", "\n## "},
+	}
+	path := regexp.MustCompile(`\b(internal|cmd|examples)/(?:\{([a-z0-9,]+)\}|([a-z0-9]+))`)
+	for _, m := range maps {
+		data, err := os.ReadFile(m.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		i := strings.Index(text, m.from)
+		if i < 0 {
+			t.Fatalf("%s has no %q section", m.file, strings.TrimSpace(m.from))
+		}
+		section := text[i+len(m.from):]
+		if j := strings.Index(section, m.to); j >= 0 {
+			section = section[:j]
+		}
+		named := map[string]bool{}
+		for _, g := range path.FindAllStringSubmatch(section, -1) {
+			for _, name := range strings.Split(g[2]+g[3], ",") {
+				named[g[1]+"/"+name] = true
+			}
+		}
+		for _, root := range []string{"internal", "cmd", "examples"} {
+			entries, err := os.ReadDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.IsDir() && !named[root+"/"+e.Name()] {
+					t.Errorf("%s %q does not name %s/%s", m.file, strings.TrimSpace(m.from), root, e.Name())
+				}
+			}
+		}
+	}
+}

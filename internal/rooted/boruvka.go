@@ -9,10 +9,20 @@ import (
 	"repro/internal/metric"
 )
 
-// boruvkaParallelGate is the sensor count below which msfBoruvka stays
-// serial even when Workers > 1: the per-round bound pre-pass and
-// goroutine handoff cost more than the queries they would shard.
-const boruvkaParallelGate = 2048
+// boruvkaListK is the width of the k-nearest-neighbour lists msfBoruvka
+// builds once per call. A sensor whose list leaves its component gets
+// its exact nearest foreign point from the list; only sensors whose
+// whole list lies inside their component fall through to a ring query.
+// On a plan of session-churn's shape (n=50,000, q=8, Workers 1) 8 beat
+// 4, 6 and 12 (~340 ms against ~495, ~370 and ~385 ms on a 2-vCPU VM):
+// narrower lists send more sensors to ring queries, wider ones cost
+// more to build than they save.
+const boruvkaListK = 8
+
+// boruvkaShardMin is the fewest ring-pass queries worth a goroutine of
+// their own: below it a round's queries run on the calling goroutine.
+// Sharding never changes a query's answer, only who computes it.
+const boruvkaShardMin = 1024
 
 // msfBoruvka computes the exact MST of the depot-contracted space —
 // vertices 0..m-1 are the sensors, vertex m the super-root at ar.toRoot
@@ -24,35 +34,46 @@ const boruvkaParallelGate = 2048
 // done with it before releasing ar.
 //
 // Each round finds, for every component, its minimum-weight outgoing
-// edge: sensor–sensor candidates come from GridIndex.NearestExcluding
-// (exact nearest member outside the sensor's component, pruned by a
-// bound no better candidate can beat, see below), and super-root
-// candidates from the precomputed toRoot array, credited to both
-// endpoint components. The chosen edges are merged through a
-// union-find, skipping edges whose endpoints an earlier merge of the
-// round already connected (equal-weight edge cycles — the only cycles
-// Borůvka can produce — are weight-neutral to skip, so total weight
-// stays exactly the MST weight). Components halve every round, so
-// there are O(log m) rounds.
+// edge, the (weight, v, u)-lexicographic minimum over the offers: each
+// sensor's edge to its nearest point outside its component, and each
+// sensor's edge to the super-root, credited to both endpoint
+// components. The chosen edges are merged through a union-find,
+// skipping edges whose endpoints an earlier merge of the round already
+// connected (equal-weight edge cycles — the only cycles Borůvka can
+// produce — are weight-neutral to skip, so total weight stays exactly
+// the MST weight). Components halve every round, so there are
+// O(log m) rounds.
 //
-// Determinism and the Workers contract: the round's result is the
-// (weight, sensor, neighbor)-lexicographic minimum offer per component,
-// taken by a serial merge scanning sensors in ascending index. A
-// sensor's query bound may therefore prune exactly the candidates that
-// cannot win that merge — any candidate at distance ≥ the weight of an
-// offer the merge sees from a smaller sensor index loses (on weight, or
-// on sensor index at equal weight). The serial path uses the running
-// best (tightest such bound); the parallel path precomputes a per-
-// sensor bound from root offers alone, which is a pure function of the
-// round's components — independent of worker count and of other
-// queries — so every query returns the same neighbor no matter how the
-// sensors are sharded, and the merge is byte-equal to serial. Extra
-// survivors admitted by the looser parallel bound are exactly ties the
-// merge discards. workers ≤ 1 (or small m) runs fully serial.
+// A round answers the nearest-foreign queries in two passes over the
+// k-NN lists of the sub-index (the filter-then-search shape of March,
+// Ram and Gray's geometric Borůvka):
+//
+//   - List pass (serial). Each sensor makes its root offer, and the
+//     first entry of its list outside its component is its exact
+//     nearest foreign point: the list holds the k nearest by
+//     (distance, id), the order GridIndex.NearestExcluding breaks ties
+//     in, so nothing foreign precedes that entry.
+//   - Ring pass. A sensor whose whole list lies inside its component
+//     queries NearestExcluding under a bound that prunes only candidates
+//     that cannot win its component's merge: the component's best offer
+//     after the list pass, raised by one ulp when the sensor's index is
+//     at most the incumbent's (it would win that weight tie). When
+//     Radius(v) reaches the bound, every foreign point is at least that
+//     far, so the query is skipped.
+//
+// Determinism and the Workers contract: the ring-pass bounds are frozen
+// after the list pass, a pure function of the round's components, so
+// every query has the same answer however the queries are sharded; the
+// workers write fixed slots and a serial merge offers them. Only offers
+// that cannot be a component's minimum are pruned, so the round selects
+// the same edges for every worker count — the same edges an unpruned
+// query per sensor would select.
 func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) graph.Tree {
 	m := len(sensors)
 	g.SubIndexInto(&ar.gi, sensors)
 	gi := &ar.gi
+	gi.BuildLists(&ar.lists, boruvkaListK)
+	nl := &ar.lists
 	toRoot := ar.toRoot
 	ar.uf.Reset(m + 1)
 	uf := &ar.uf
@@ -61,18 +82,9 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) grap
 	bestW := grow(ar.bestW, m+1)
 	bestV := grow(ar.bestV, m+1)
 	bestU := grow(ar.bestU, m+1)
+	ring, nnU, nnD := ar.ring[:0], ar.nnU, ar.nnD
 	eu, ev := ar.eu[:0], ar.ev[:0]
 	var weight float64
-
-	parallel := workers > 1 && m >= boruvkaParallelGate
-	var bound, cMin, nnD []float64
-	var nnU []int32
-	if parallel {
-		bound = grow(ar.bound, m)
-		cMin = grow(ar.cMin, m+1)
-		nnU = grow(ar.nnU, m)
-		nnD = grow(ar.nnD, m)
-	}
 
 	for uf.Sets() > 1 {
 		for v := 0; v < m; v++ {
@@ -92,82 +104,47 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) grap
 				bestW[i], bestV[i], bestU[i] = w, v, u
 			}
 		}
-		if parallel {
-			// Bound pre-pass, serial O(m): for each sensor the tightest
-			// prune derivable from root offers the merge will see before
-			// (or, own root offer, immediately after) its own candidate.
-			// cMin[c] is the running minimum root-offer weight credited
-			// to component c by sensors with smaller index; a candidate
-			// at distance ≥ that weight loses the merge to the earlier
-			// sensor's offer (smaller index wins equal weight). A
-			// sensor's own root offer has the same index, so candidates
-			// that TIE it still win (neighbor u < super-root m breaks
-			// the tie) — hence the one-ulp bump keeping d == toRoot[v]
-			// alive. Sensors in the super-root's component make no root
-			// offer (that edge is internal there), so only the cMin term
-			// applies to them.
-			for c := 0; c <= m; c++ {
-				cMin[c] = math.Inf(1)
-			}
-			for v := 0; v < m; v++ {
-				c := comp[v]
-				b := cMin[c]
-				if c != rootComp {
-					if up := math.Nextafter(toRoot[v], math.Inf(1)); up < b {
-						b = up
-					}
-					if toRoot[v] < cMin[c] {
-						cMin[c] = toRoot[v]
-					}
-					if toRoot[v] < cMin[rootComp] {
-						cMin[rootComp] = toRoot[v]
-					}
-				}
-				bound[v] = b
-			}
-			// Query phase: every input is fixed before the fan-out, so
-			// each sensor's answer is independent of sharding; workers
-			// write disjoint fixed slots.
-			var wg sync.WaitGroup
-			chunk := (m + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > m {
-					hi = m
-				}
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for v := lo; v < hi; v++ {
-						u, d := gi.NearestExcluding(v, comp, bound[v])
-						nnU[v], nnD[v] = int32(u), d
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
+		ring = ring[:0]
 		for v := 0; v < m; v++ {
 			c := comp[v]
-			if parallel {
-				if u := nnU[v]; u >= 0 {
-					offer(c, nnD[v], int32(v), u)
-				}
-			} else {
-				// Query under the running best: an equal-weight candidate
-				// pruned by it is one that would have lost the
-				// (weight, v, u) tie-break anyway.
-				if u, d := gi.NearestExcluding(v, comp, bestW[c]); u >= 0 {
-					offer(c, d, int32(v), int32(u))
-				}
-			}
+			// Sensors in the super-root's component make no root offer:
+			// that edge is internal there.
 			if c != rootComp {
 				w := toRoot[v]
 				offer(c, w, int32(v), int32(m))
 				offer(rootComp, w, int32(v), int32(m))
+			}
+			ids, ds := nl.Neighbors(v)
+			j := 0
+			for j < len(ids) && comp[ids[j]] == c {
+				j++
+			}
+			if j < len(ids) {
+				offer(c, ds[j], int32(v), ids[j])
+			} else {
+				ring = append(ring, int32(v))
+			}
+		}
+		nnU, nnD = grow(nnU, len(ring)), grow(nnD, len(ring))
+		shardRing(len(ring), workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v := ring[i]
+				c := comp[v]
+				bound := bestW[c]
+				if v <= bestV[c] {
+					bound = math.Nextafter(bound, math.Inf(1))
+				}
+				if nl.Radius(int(v)) >= bound {
+					nnU[i] = -1
+					continue
+				}
+				u, d := gi.NearestExcluding(int(v), comp, bound)
+				nnU[i], nnD[i] = int32(u), d
+			}
+		})
+		for i, v := range ring {
+			if u := nnU[i]; u >= 0 {
+				offer(comp[v], nnD[i], v, u)
 			}
 		}
 		progress := false
@@ -188,14 +165,44 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) grap
 			panic("rooted: Borůvka round made no progress")
 		}
 	}
+	ar.comp, ar.bestW, ar.bestV, ar.bestU = comp, bestW, bestV, bestU
+	ar.ring, ar.nnU, ar.nnD = ring, nnU, nnD
 	ar.eu, ar.ev = eu, ev
+	return orientBoruvka(ar, m, weight)
+}
+
+// shardRing runs query over [0, n) in at most workers contiguous shards
+// of at least boruvkaShardMin queries each, one goroutine per shard past
+// the first, and returns when all are done. query must write only the
+// slots of its own range.
+func shardRing(n, workers int, query func(lo, hi int)) {
+	shards := min(workers, n/boruvkaShardMin)
+	if shards <= 1 {
+		query(0, n)
+		return
+	}
+	chunk := (n + shards - 1) / shards
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			query(lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	query(0, chunk)
+	wg.Wait()
+}
+
+// orientBoruvka turns the m selected edges in ar.eu/ar.ev into the
+// contracted tree's parent array, rooted at the super-root m, by one
+// BFS. The parent array of a tree is unique, so traversal order does
+// not matter beyond determinism of the walk itself.
+func orientBoruvka(ar *roundArena, m int, weight float64) graph.Tree {
+	eu, ev := ar.eu, ar.ev
 	if len(eu) != m {
 		panic(fmt.Sprintf("rooted: Borůvka selected %d edges for %d sensors", len(eu), m))
 	}
-
-	// Orient the undirected tree away from the super-root with one BFS;
-	// the parent array of a tree is unique, so traversal order does not
-	// matter beyond determinism of the walk itself.
 	off := grow(ar.off, m+2)
 	for i := range off {
 		off[i] = 0
@@ -211,7 +218,7 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) grap
 	// bestV/bestU (m+1 int32 each) are dead after the last union pass;
 	// reuse them as the fill cursor and BFS queue instead of dedicating
 	// two more arrays to the orientation.
-	cur := bestV[:m+1]
+	cur := grow(ar.bestV, m+1)
 	copy(cur, off[:m+1])
 	for i := range eu {
 		adj[cur[eu[i]]] = ev[i]
@@ -225,7 +232,7 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) grap
 		parent[v] = -1
 		seen[v] = false
 	}
-	queue := bestU[:0]
+	queue := grow(ar.bestU, m+1)[:0]
 	queue = append(queue, int32(m))
 	seen[m] = true
 	for head := 0; head < len(queue); head++ {
@@ -243,14 +250,12 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *roundArena, workers int) grap
 			panic(unspannedMsg(v))
 		}
 	}
-	ar.comp, ar.bestW, ar.bestV, ar.bestU = comp, bestW, bestV, bestU
-	ar.bound, ar.cMin, ar.nnU, ar.nnD = bound, cMin, nnU, nnD
 	ar.off, ar.adj, ar.parent, ar.seen = off, adj, parent, seen
 	return graph.Tree{Parent: parent, Weight: weight}
 }
 
-// unspannedMsg keeps msfBoruvka's panic message construction out of its
-// spanning check's loop.
+// unspannedMsg keeps orientBoruvka's panic message construction out of
+// its spanning check's loop.
 func unspannedMsg(v int) string {
 	return fmt.Sprintf("rooted: Borůvka tree does not span sensor %d", v)
 }

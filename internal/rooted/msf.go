@@ -228,21 +228,22 @@ type roundArena struct {
 	// (Prim writes it directly; Borůvka orients its edges into it)
 	parent []int
 	fringe []fringeEntry
-	// Borůvka rounds
+	// Borůvka rounds: the sub-index and its k-NN lists (12 bytes per
+	// sensor per list entry), the round's components and best offers,
+	// and the ring pass's sensors and answers
 	gi    metric.GridIndex
+	lists metric.NearestLists
 	uf    graph.UnionFind
 	comp  []int32
 	bestW []float64
 	bestV []int32
 	bestU []int32
+	ring  []int32
+	nnU   []int32
+	nnD   []float64
 	// selected MST edges, as parallel endpoint arrays (8 bytes/edge;
 	// orientation never needs the weights, which sum into Tree.Weight)
 	eu, ev []int32
-	// parallel-phase buffers (nil on the serial path)
-	bound []float64
-	cMin  []float64
-	nnU   []int32
-	nnD   []float64
 	// tree-orientation buffers; the BFS cursor and queue are not here —
 	// they overlay bestV/bestU, which are dead once the rounds finish
 	off  []int32

@@ -142,15 +142,25 @@ func (s *Schedule) Verify(cycles []float64, eps float64) error {
 // terminal gap from the last such charge to T. Both comparisons allow
 // a relative 1e-9. Unlike Verify on that schedule, it asks the period
 // to fit even when T ends before the first charge: the period is the
-// cadence the plan keeps, not just its part inside the horizon.
+// cadence the plan keeps, not just its part inside the horizon. A NaN
+// argument or a T that is not finite fails, as in Verify.
 func VerifyCadence(period, cycle, T float64) error {
-	if period > cycle*(1+1e-9) {
+	if math.IsNaN(T) || math.IsInf(T, 0) {
+		return fmt.Errorf("sched: monitoring period T = %g is not finite", T)
+	}
+	if !(period <= cycle*(1+1e-9)) {
 		return fmt.Errorf("sched: period %g exceeds cycle %g", period, cycle)
 	}
-	// Last charge: the largest multiple of period strictly inside
-	// (0, T). Its gap to T must also fit (terminal gap of Lemma 2).
+	// Last charge: the largest multiple of period at most T-1e-9, so a
+	// multiple within 1e-9 of T does not count as inside (0, T). Its
+	// gap to T must also fit (terminal gap of Lemma 2). Since the
+	// period fits, T-last < period+1e-9 <= cycle(1+1e-9)+1e-9: this
+	// check can fire only inside that band, when period is within an
+	// absolute 1e-9 of the relative tolerance edge cycle(1+1e-9) — for
+	// cycle < 1 that includes period == cycle — and the dropped
+	// multiple would have closed the gap (TestVerifyCadenceRejects).
 	last := period * math.Floor((T-1e-9)/period)
-	if last > 0 && T-last > cycle*(1+1e-9) {
+	if last > 0 && !(T-last <= cycle*(1+1e-9)) {
 		return fmt.Errorf("sched: terminal gap %g exceeds cycle %g", T-last, cycle)
 	}
 	return nil

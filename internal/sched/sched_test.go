@@ -238,6 +238,41 @@ func TestVerifyCadenceMatchesVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyCadenceRejects pins VerifyCadence's rejections: NaN and
+// infinite input, and the terminal-gap check inside its 1e-9 band,
+// with a row on each side of the band.
+func TestVerifyCadenceRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name              string
+		period, cycle, tT float64
+		want              string // "" for a pass
+	}{
+		{"NaN period", nan, 5, 100, "exceeds cycle"},
+		{"NaN cycle", 4, nan, 100, "exceeds cycle NaN"},
+		{"NaN T", 4, 5, nan, "not finite"},
+		{"infinite T", 4, 5, inf, "not finite"},
+		// cycle < 1: the multiple 1.5 lies within 1e-9 of T and does
+		// not count, so the gap from 1.0 is 0.5+0.75e-9.
+		{"band, period == cycle < 1", 0.5, 0.5, 1.5 + 0.75e-9, "terminal gap"},
+		{"below band, period == cycle < 1", 0.5, 0.5, 1.5 + 0.25e-9, ""},
+		// period at the relative tolerance edge cycle(1+1e-9).
+		{"band, period at tolerance edge", 1 + 1e-9, 1, 3 + 3.5e-9, "terminal gap"},
+		{"period == cycle == 1 has no band", 1, 1, 3 + 0.5e-9, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := VerifyCadence(c.period, c.cycle, c.tT)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			wantErr(t, err, c.want)
+		})
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	s := &Schedule{T: 100, Rounds: []Round{
 		{Time: 10, Tours: []rooted.Tour{tour(100, 4, 0, 1), tour(101, 0)}},
