@@ -296,7 +296,7 @@ func BenchmarkVarSimWithOutages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pol := &VarPolicy{ReplanOnImprove: true}
+		pol := &VarPolicy{}
 		b.StartTimer()
 		if _, err := Simulate(net, model, pol, SimConfig{
 			T: 150, Dt: 1,

@@ -265,8 +265,6 @@ func runLarge(spec string, dense, refine bool, maxheap int64) (over bool, err er
 	if dense {
 		path = "dense"
 		opt.Space = metric.Materialize(net.Space())
-	} else if net.N()+net.Q() > metric.DenseLimit {
-		opt.Space = metric.NewGrid(net.Points())
 	}
 	if refine {
 		path += "+refine"

@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -183,5 +186,74 @@ func TestPackageMapsNameEveryDirectory(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRobustnessRowMatchesArtifact fails when README's n=150 robustness
+// row disagrees with the benchmarks block of the artifact it cites,
+// ROBUST_pr10_small.json: the run count must equal the block's
+// iterations, and the wall time per run, quoted as "~X s", must match
+// its ns_per_op to the quoted number's last digit. The cell holds that
+// one figure, so a number with no artifact behind it cannot ride along.
+func TestRobustnessRowMatchesArtifact(t *testing.T) {
+	const artifact = "ROBUST_pr10_small.json"
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var header, row []string
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		switch {
+		case strings.HasPrefix(line, "| cell |") && strings.Contains(line, "wall/run"):
+			header = cells
+		case header != nil && strings.HasPrefix(line, "| n=150 |") && strings.Contains(line, artifact):
+			row = cells
+		}
+	}
+	if row == nil || len(row) != len(header) {
+		t.Fatalf("README has no n=150 row citing %s under a table with a wall/run column", artifact)
+	}
+	cell := map[string]string{}
+	for i, h := range header {
+		cell[h] = row[i]
+	}
+
+	data, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Benchmarks []struct {
+			Name       string  `json:"name"`
+			Iterations int     `json:"iterations"`
+			NsPerOp    float64 `json:"ns_per_op"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Benchmarks) == 0 || !strings.HasPrefix(file.Benchmarks[0].Name, "RobustSweep/n=150/") {
+		t.Fatalf("%s has no RobustSweep/n=150 benchmark", artifact)
+	}
+	b := file.Benchmarks[0]
+
+	if m := regexp.MustCompile(`\b(\d+) runs\b`).FindStringSubmatch(cell["config"]); m == nil || m[1] != strconv.Itoa(b.Iterations) {
+		t.Errorf("README config %q: %s records %d runs", cell["config"], artifact, b.Iterations)
+	}
+	m := regexp.MustCompile(`^~(\d+(?:\.(\d+))?) s$`).FindStringSubmatch(cell["wall/run"])
+	if m == nil {
+		t.Fatalf("README wall/run %q is not one figure of the form ~X s", cell["wall/run"])
+	}
+	quoted, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.NsPerOp / 1e9
+	if half := 0.5 * math.Pow(10, -float64(len(m[2]))); math.Abs(quoted-got) > half+1e-12 {
+		t.Errorf("README wall/run %q: %s records %.3f s per run", cell["wall/run"], artifact, got)
 	}
 }

@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("%d sensors, %d chargers, T=%d\n", net.N(), net.Q(), T)
 	fmt.Println("outages: depot 0 down [100,200), depot 2 down [180,240)")
 
-	tracer := repro.NewTracer(&repro.VarPolicy{ReplanOnImprove: true})
+	tracer := repro.NewTracer(&repro.VarPolicy{})
 	res, err := repro.Simulate(net, repro.NewFixedModel(net), tracer, repro.SimConfig{
 		T: T, Dt: 1, Outages: outages,
 	})

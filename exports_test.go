@@ -17,6 +17,7 @@ import (
 // "import/path.Type.Method"; values say who needs it.
 var exportAllowlist = map[string]string{
 	"repro/internal/metric.NewMatrix":          "non-Euclidean fixture of the graph, metric and rooted tests",
+	"repro/internal/graph.PrimMST":             "oracle of rooted's fringe Prim, and the tree builder of the graph and tsp tests",
 	"repro/internal/metric.Closure":            "shortest-path closure of the graph, metric and rooted tests' Matrix fixtures",
 	"repro/internal/experiment.RunOne":         "perfbench/perfbench_test.go checks its workloads against it",
 	"repro/internal/experiment.FigureParams":   "the root bench_test.go builds its figure cells from it",

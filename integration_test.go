@@ -29,7 +29,7 @@ func TestIntegrationKitchenSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := NewTracer(&VarPolicy{ReplanOnImprove: true})
+	tracer := NewTracer(&VarPolicy{})
 	res, err := Simulate(net, model, tracer, SimConfig{
 		T: 240, Dt: 1,
 		Outages: []ChargerOutage{{Depot: 1, From: 60, To: 120}},

@@ -127,13 +127,13 @@ func PlanFixed(net *wsn.Network, T float64, opt FixedOptions) (*FixedPlan, error
 	if src == nil {
 		// Above metric.DenseLimit points an n×n matrix is prohibitive
 		// (8n² bytes); plan over the exact grid index instead.
-		if pts := net.Points(); len(pts) > metric.DenseLimit {
-			src = metric.NewGrid(pts)
+		if net.N()+net.Q() > metric.DenseLimit {
+			src = metric.NewGrid(net.Points())
 		} else {
 			src = net.Space()
 		}
-	} else if src.Len() != net.Space().Len() {
-		return nil, fmt.Errorf("core: FixedOptions.Space has %d points, network has %d", src.Len(), net.Space().Len())
+	} else if src.Len() != net.N()+net.Q() {
+		return nil, fmt.Errorf("core: FixedOptions.Space has %d points, network has %d", src.Len(), net.N()+net.Q())
 	}
 	var space metric.Space = src
 	if _, isGrid := metric.AsGrid(src); !isGrid {

@@ -2,12 +2,15 @@ package core
 
 //lint:file-allow floateq plan-field passthrough must be exact: τ_1 and the ratio bound are computed, not measured, values
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/geom"
+	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/wsn"
 )
@@ -204,6 +207,20 @@ func TestPlanFixedErrors(t *testing.T) {
 	empty := &wsn.Network{Field: geom.Square(10), Depots: []geom.Point{{}}}
 	if _, err := PlanFixed(empty, 100, FixedOptions{}); err == nil {
 		t.Error("empty network accepted")
+	}
+	// A Space must hold exactly the network's N+Q points.
+	pts := nw.Points()
+	for _, sp := range []metric.Space{
+		metric.NewEuclidean(pts[1:]),
+		metric.NewGrid(append(append([]geom.Point(nil), pts...), geom.Pt(1, 1))),
+	} {
+		want := fmt.Sprintf("FixedOptions.Space has %d points, network has %d", sp.Len(), len(pts))
+		if _, err := PlanFixed(nw, 100, FixedOptions{Space: sp}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Space of %d points for a %d-point network: error %v, want %q", sp.Len(), len(pts), err, want)
+		}
+	}
+	if _, err := PlanFixed(nw, 100, FixedOptions{Space: metric.NewEuclidean(pts)}); err != nil {
+		t.Errorf("Space of the network's own points rejected: %v", err)
 	}
 }
 

@@ -29,11 +29,6 @@ func fixedModel(net *wsn.Network) energy.Model { return energy.NewFixed(net) }
 type Var struct {
 	// Rooted configures the q-rooted TSP subroutine.
 	Rooted rooted.Options
-	// ReplanOnImprove also triggers a re-plan when a cycle grows to at
-	// least twice its assigned value (the paper re-plans in both
-	// directions); disabling it is an ablation that only reacts to
-	// shrinking cycles. Default true.
-	ReplanOnImprove bool
 	// NoLifetimeGuard reverts to the paper's literal trigger (cycle
 	// leaves the band [τ̂', 2τ̂')), disabling the residual-lifetime
 	// guard documented in DESIGN.md. Paper-faithful but unsafe: rare
@@ -94,7 +89,7 @@ type varPlan struct {
 
 // NewVar returns a Var policy with the paper's defaults.
 func NewVar(opt rooted.Options) *Var {
-	return &Var{Rooted: opt, ReplanOnImprove: true}
+	return &Var{Rooted: opt}
 }
 
 // Name implements sim.Policy.
@@ -187,10 +182,9 @@ func (v *Var) triggered(env *sim.Env) bool {
 	t := env.Now()
 	for i := range env.Net.Sensors {
 		cur, asg := v.reported[i], v.assigned[i]
-		if cur < asg-eps {
-			return true
-		}
-		if v.ReplanOnImprove && cur >= 2*asg-eps {
+		// The paper's two-way band: re-plan when the cycle falls below
+		// its assignment or grows to at least twice it.
+		if cur < asg-eps || cur >= 2*asg-eps {
 			return true
 		}
 		// Lifetime guard: the paper's feasibility band keeps the
@@ -538,7 +532,7 @@ func lifeClass(l, tau1 float64) int {
 // 0..len(group)-1 are stranded sensors (Euclidean between each other);
 // indices len(group).. are super-roots, one per candidate round, at the
 // nearest-member distance from each sensor. Root-to-root distances are
-// never queried by rooted.MSF.
+// 0; rooted.MSF copies them into its Dense but never reads them.
 type auxSpace struct {
 	env    *sim.Env
 	group  []int
@@ -561,7 +555,7 @@ func (a *auxSpace) Dist(i, j int) float64 {
 		_, d := geom.NearestIndex(pos, a.rounds[j-m])
 		return d
 	default:
-		return 0 // root-root, unused
+		return 0 // root-root, never read
 	}
 }
 

@@ -43,6 +43,23 @@ const (
 	AlgoQRootedExact   = "QRootedTSP-exact"
 )
 
+// TourConstruction sets on opt the tour construction that the algorithm
+// label algo names: AlgoMTDRefined and AlgoQRootedRefined refine the
+// double-tree tours, AlgoMTDVoronoi routes cluster-first and
+// AlgoMTDChristo builds Christofides tours. Any other label leaves opt
+// as it is. The sweep and chargerd's plans and sessions all take the
+// mapping from here.
+func TourConstruction(algo string, opt *rooted.Options) {
+	switch algo {
+	case AlgoMTDRefined, AlgoQRootedRefined:
+		opt.Refine = true
+	case AlgoMTDVoronoi:
+		opt.Method = rooted.MethodClusterFirst
+	case AlgoMTDChristo:
+		opt.Method = rooted.MethodChristofides
+	}
+}
+
 // Params fully determines one simulation cell.
 type Params struct {
 	// Topology.
@@ -337,14 +354,7 @@ func runFixed(algo string, p Params, pr *Prepared, dt float64) (Outcome, error) 
 	switch algo {
 	case AlgoMTD, AlgoMTDRefined, AlgoMTDVoronoi, AlgoMTDChristo:
 		opt := core.FixedOptions{Rooted: p.Rooted, Base: p.Base, Space: space}
-		switch algo {
-		case AlgoMTDRefined:
-			opt.Rooted.Refine = true
-		case AlgoMTDVoronoi:
-			opt.Rooted.Method = rooted.MethodClusterFirst
-		case AlgoMTDChristo:
-			opt.Rooted.Method = rooted.MethodChristofides
-		}
+		TourConstruction(algo, &opt.Rooted)
 		pr.TourOptions(&opt.Rooted, &refineNs)
 		t0 := time.Now() //lint:allow walltime PlanMillis diagnostic timing
 		plan, err := core.PlanFixed(net, p.T, opt)
@@ -396,7 +406,8 @@ func runQRooted(algo string, pr *Prepared) (Outcome, error) {
 	depots, sensors := net.DepotIndices(), net.SensorIndices()
 	switch algo {
 	case AlgoQRootedApprox, AlgoQRootedRefined:
-		opt := rooted.Options{Refine: algo == AlgoQRootedRefined}
+		var opt rooted.Options
+		TourConstruction(algo, &opt)
 		var refineNs int64
 		pr.TourOptions(&opt, &refineNs)
 		t0 := time.Now() //lint:allow walltime PlanMillis diagnostic timing

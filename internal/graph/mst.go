@@ -1,11 +1,14 @@
 // Package graph implements the graph algorithms underlying the charger
-// scheduling library: minimum spanning trees on dense metric spaces
-// (Prim), Euler circuits on multigraphs (Hierholzer) with the shortcut
-// pass that turns them into tours, and the union-find of the Borůvka MSF.
+// scheduling library: Euler circuits on multigraphs (Hierholzer) with
+// the shortcut pass that turns them into tours, the union-find of the
+// Borůvka MSF, and the Tree and Edge types that packages rooted and tsp
+// exchange.
 //
 // The q-rooted MSF of the paper (its Algorithm 1) reduces to a single MST
-// on a depot-contracted graph; both the contraction and the MST live here
-// and in package rooted.
+// on a depot-contracted graph; package rooted computes that MST with its
+// own two kernels, a fringe Prim over a metric.Dense and Borůvka rounds
+// over a metric.Grid. PrimMST here is the plain O(n²) Prim that the
+// fringe Prim is tested against.
 package graph
 
 import (
@@ -30,9 +33,11 @@ type Tree struct {
 }
 
 // PrimMST computes a minimum spanning tree of the complete graph induced
-// by sp, rooted at root, in O(n^2) time and O(n) extra space — the right
-// complexity class for the dense Euclidean instances this library solves
-// (the paper's Lemma 1 relies on exactly this bound).
+// by sp, rooted at root, in O(n^2) time and O(n) extra space (the bound
+// the paper's Lemma 1 relies on). Each step joins the lowest-index
+// vertex at minimum distance, and every comparison is strict. It is the
+// reference that package rooted's fringe Prim is held to, bit for bit,
+// and the tree builder of the graph and tsp tests.
 //
 // It panics if sp is empty or root is out of range.
 func PrimMST(sp metric.Space, root int) Tree {
@@ -54,7 +59,6 @@ func PrimMST(sp metric.Space, root int) Tree {
 	best[root] = 0
 	parent[root] = -1
 	var total float64
-	dense, isDense := metric.AsDense(sp)
 	for iter := 0; iter < n; iter++ {
 		// Pick the cheapest fringe vertex.
 		u, bw := -1, math.Inf(1)
@@ -70,17 +74,6 @@ func PrimMST(sp metric.Space, root int) Tree {
 		}
 		inTree[u] = true
 		total += bw
-		if isDense {
-			// Devirtualized scan: one contiguous row, plain indexing.
-			row := dense.Row(u)
-			for v := 0; v < n; v++ {
-				if !inTree[v] && row[v] < best[v] {
-					best[v] = row[v]
-					parent[v] = u
-				}
-			}
-			continue
-		}
 		for v := 0; v < n; v++ {
 			if !inTree[v] {
 				if d := sp.Dist(u, v); d < best[v] {

@@ -1,8 +1,6 @@
 package rooted
 
 import (
-	"math"
-
 	"repro/internal/metric"
 	"repro/internal/tsp"
 )
@@ -33,31 +31,16 @@ const (
 // The reported ForestWeight is still the exact q-rooted MSF weight, so
 // the certified lower bound remains valid for cost comparisons.
 func clusterFirst(sp metric.Space, depots, sensors []int, opt Options) Solution {
-	f := MSF(sp, depots, sensors) // for the lower bound only
-	sol := Solution{ForestWeight: f.Weight}
+	// The forest gives the lower bound, and its nearest-depot table
+	// (first depot at minimum distance) the Voronoi cells.
+	ar := roundArenaPool.Get().(*roundArena)
+	sol := Solution{ForestWeight: msf(sp, depots, sensors, 1, ar).Weight}
 	groups := make(map[int][]int, len(depots))
-	if dm, ok := metric.AsDense(sp); ok {
-		for _, s := range sensors {
-			row := dm.Row(s)
-			best, bd := -1, math.Inf(1)
-			for _, d := range depots {
-				if w := row[d]; w < bd {
-					best, bd = d, w
-				}
-			}
-			groups[best] = append(groups[best], s)
-		}
-	} else {
-		for _, s := range sensors {
-			best, bd := -1, math.Inf(1)
-			for _, d := range depots {
-				if w := sp.Dist(s, d); w < bd { //lint:allow hotdist non-Dense fallback twin of the row loop above
-					best, bd = d, w
-				}
-			}
-			groups[best] = append(groups[best], s)
-		}
+	for i, s := range sensors {
+		d := int(ar.nearest[i])
+		groups[d] = append(groups[d], s)
 	}
+	roundArenaPool.Put(ar)
 	for _, d := range depots {
 		t := Tour{Depot: d}
 		group := groups[d]

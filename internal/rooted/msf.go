@@ -194,6 +194,8 @@ func ancestorErr(s, p int) error {
 // MST is computed by msfBoruvka instead — exact Borůvka rounds over the
 // grid's spatial index, sub-quadratic on uniform inputs — so large
 // instances never pay Prim's O(n²) scan or the O(n²) matrix it wants.
+// A space that is neither Dense nor Grid costs an O(sp.Len()²)
+// materialization into a Dense first.
 //
 // Depots and sensors must be disjoint non-empty/empty index sets into sp;
 // MSF panics on overlapping sets or an empty depot list, since those are
@@ -209,21 +211,23 @@ func MSF(sp metric.Space, depots, sensors []int) Forest {
 }
 
 // roundArena pools every buffer of one q-rooted round — msf's duplicate
-// check and contracted-space inputs, the MST (Prim's fringe or the
-// Borůvka rounds and the subset grid index), the un-contracted forest
-// and its child lists, and, on the serial path, each tree's walk, Euler
-// circuit and shortcut — so a round allocates only what it returns, and
-// the K+1 prefix solutions of a plan, Greedy's rounds and successive
-// chargerd requests reuse one grown allocation instead of churning the
-// GC. Tours takes one per call. Arenas hold memory only (no results), so
-// pooling cannot affect determinism; sync.Pool makes reuse safe across
-// the sweep workers.
+// check, Dense copy and contracted-space inputs, the MST (Prim's fringe
+// or the Borůvka rounds and the subset grid index), the un-contracted
+// forest and its child lists, and, on the serial path, each tree's walk,
+// Euler circuit and shortcut — so a round allocates only what it
+// returns, and the K+1 prefix solutions of a plan, Greedy's rounds and
+// successive chargerd requests reuse one grown allocation instead of
+// churning the GC. Tours takes one per call. Arenas hold memory only (no
+// results), so pooling cannot affect determinism; sync.Pool makes reuse
+// safe across the sweep workers.
 type roundArena struct {
 	// msf: the full-length parent array of the Forest it returns (also
-	// its duplicate check), and each sensor's nearest depot and distance
+	// its duplicate check), each sensor's nearest depot and distance,
+	// and the Dense copy of a space that is neither Dense nor Grid
 	forest  []int
 	nearest []int32
 	toRoot  []float64
+	dense   metric.Dense
 	// contracted MST: parent is its m+1 parent array on both paths
 	// (Prim writes it directly; Borůvka orients its edges into it)
 	parent []int
@@ -320,27 +324,31 @@ func msf(sp metric.Space, depots, sensors []int, workers int, ar *roundArena) Fo
 	// Contracted space: vertices 0..len(sensors)-1 are the sensors,
 	// vertex len(sensors) is the super-root r. d(v, r) is the distance
 	// from v to its nearest depot; nearest[v] records which depot
-	// realizes it so un-contraction is a table lookup. Depot indices fit
-	// int32 by the serve-layer index budget.
+	// realizes it (the first in depots order on ties) so un-contraction
+	// is a table lookup. Depot indices fit int32 by the serve-layer
+	// index budget.
+	//
+	// One kernel per metric kind: fringe Prim on a Dense, Borůvka on a
+	// Grid. Any other space is copied into ar's Dense, Dist bit for bit.
 	dense, isDense := metric.AsDense(sp)
-	var grid *metric.Grid
-	if !isDense {
-		grid, _ = metric.AsGrid(sp)
+	grid, isGrid := metric.AsGrid(sp)
+	if !isDense && !isGrid {
+		metric.MaterializeInto(sp, &ar.dense)
+		dense, isDense = ar.dense, true
 	}
 	ar.nearest = grow(ar.nearest, len(sensors))
 	ar.toRoot = grow(ar.toRoot, len(sensors))
 	nearest, toNearest := ar.nearest, ar.toRoot
 	for i, s := range sensors {
 		best, bd := -1, math.Inf(1)
-		switch {
-		case isDense:
+		if isDense {
 			row := dense.Row(s)
 			for _, d := range depots {
 				if w := row[d]; w < bd {
 					best, bd = d, w
 				}
 			}
-		case grid != nil:
+		} else {
 			// Concrete coordinate math, no per-distance interface
 			// dispatch: O(q) per sensor, q is small.
 			cs := grid.Coords()
@@ -349,27 +357,17 @@ func msf(sp metric.Space, depots, sensors []int, workers int, ar *roundArena) Fo
 					best, bd = d, w
 				}
 			}
-		default:
-			for _, d := range depots {
-				if w := sp.Dist(s, d); w < bd { //lint:allow hotdist non-Dense fallback twin of the row loop above
-					best, bd = d, w
-				}
-			}
 		}
 		nearest[i], toNearest[i] = int32(best), bd
 	}
 	var mst graph.Tree
-	switch {
-	case isDense:
+	if isDense {
 		mst = primContractedDense(dense, sensors, toNearest, ar)
-	case grid != nil:
+	} else {
 		// Sub-quadratic path: exact Borůvka MSF over the grid index, no
 		// O(n²) matrix. Same tree weight as Prim (the MST is unique up
 		// to equal-weight edge swaps, which are weight-neutral).
 		mst = msfBoruvka(grid, sensors, ar, workers)
-	default:
-		c := contracted{sp: sp, sensors: sensors, toRoot: toNearest}
-		mst = graph.PrimMST(c, len(sensors)) // root Prim at the super-root
 	}
 
 	for i, s := range sensors {
@@ -425,7 +423,8 @@ type fringeEntry struct {
 // index-order scan with strict comparisons picks, and relaxation uses the
 // same strict comparison; so every step joins the same vertex with the
 // same parent as graph.PrimMST, and the weights are summed in the same
-// order — parents and Weight are bit-identical to the interface path.
+// order — parents and Weight are bit-identical to graph.PrimMST over
+// the contracted space, the oracle of TestPrimMatchesReference.
 func primContractedDense(d metric.Dense, sensors []int, toRoot []float64, ar *roundArena) graph.Tree {
 	m := len(sensors)
 	parent := grow(ar.parent, m+1)
@@ -469,27 +468,4 @@ func primContractedDense(d metric.Dense, sensors []int, toRoot []float64, ar *ro
 		}
 	}
 	return graph.Tree{Parent: parent, Weight: total}
-}
-
-// contracted adapts (sensors ∪ {super-root}) to metric.Space.
-type contracted struct {
-	sp      metric.Space
-	sensors []int
-	toRoot  []float64
-}
-
-func (c contracted) Len() int { return len(c.sensors) + 1 }
-
-func (c contracted) Dist(i, j int) float64 {
-	r := len(c.sensors)
-	switch {
-	case i == r && j == r:
-		return 0
-	case i == r:
-		return c.toRoot[j]
-	case j == r:
-		return c.toRoot[i]
-	default:
-		return c.sp.Dist(c.sensors[i], c.sensors[j])
-	}
 }

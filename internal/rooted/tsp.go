@@ -119,7 +119,8 @@ func (s Solution) Cost() float64 {
 // by MSF, then each tree is doubled into an Euler circuit and shortcut
 // into a closed tour rooted at its depot. Empty trees yield tours with no
 // stops and zero cost, matching the paper's convention V(C_l) = {r_l},
-// w(C_l) = 0.
+// w(C_l) = 0. As in MSF, a space that is neither Dense nor Grid costs an
+// O(sp.Len()²) materialization for the forest.
 func Tours(sp metric.Space, depots, sensors []int, opt Options) Solution {
 	var sol Solution
 	if opt.Method == MethodClusterFirst {

@@ -98,7 +98,8 @@ func planInto(req *PlanRequest, ws *experiment.Scratch) (*PlanResponse, planStat
 	}
 
 	if !spec.schedule {
-		opt := rooted.Options{Refine: req.Algorithm == experiment.AlgoQRootedRefined, Workers: workers}
+		opt := rooted.Options{Workers: workers}
+		experiment.TourConstruction(req.Algorithm, &opt)
 		pr.TourOptions(&opt, &st.refineNs)
 		sol := rooted.Tours(pr.Space, net.DepotIndices(), net.SensorIndices(), opt)
 		resp.Cost = sol.Cost()
@@ -110,14 +111,7 @@ func planInto(req *PlanRequest, ws *experiment.Scratch) (*PlanResponse, planStat
 
 	opt := core.FixedOptions{Base: req.Base, Space: pr.Space}
 	opt.Rooted.Workers = workers
-	switch req.Algorithm {
-	case experiment.AlgoMTDRefined:
-		opt.Rooted.Refine = true
-	case experiment.AlgoMTDVoronoi:
-		opt.Rooted.Method = rooted.MethodClusterFirst
-	case experiment.AlgoMTDChristo:
-		opt.Rooted.Method = rooted.MethodChristofides
-	}
+	experiment.TourConstruction(req.Algorithm, &opt.Rooted)
 	pr.TourOptions(&opt.Rooted, &st.refineNs)
 	plan, err := core.PlanFixed(net, req.T, opt)
 	if err != nil {

@@ -213,22 +213,17 @@ func sessionDeltaConfig(req *PlanRequest, maxDrift float64, workers int) (delta.
 		return delta.Config{}, badRequest("algorithm %q does not support sessions (need a schedule algorithm: %s, %s, %s or %s)",
 			req.Algorithm, experiment.AlgoMTD, experiment.AlgoMTDRefined, experiment.AlgoMTDVoronoi, experiment.AlgoMTDChristo)
 	}
-	cfg := delta.Config{
+	var tours rooted.Options
+	experiment.TourConstruction(req.Algorithm, &tours)
+	return delta.Config{
+		Method:    tours.Method,
+		Refine:    tours.Refine,
 		Base:      req.Base,
 		T:         req.T,
 		Workers:   workers,
 		MaxDrift:  maxDrift,
 		MaxRounds: MaxRounds,
-	}
-	switch req.Algorithm {
-	case experiment.AlgoMTDRefined:
-		cfg.Refine = true
-	case experiment.AlgoMTDVoronoi:
-		cfg.Method = rooted.MethodClusterFirst
-	case experiment.AlgoMTDChristo:
-		cfg.Method = rooted.MethodChristofides
-	}
-	return cfg, nil
+	}, nil
 }
 
 // Create registers a tenant's network as a new session: the initial
